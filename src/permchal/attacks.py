@@ -13,10 +13,12 @@ Adaptive baselines (excluded from those comparisons, kept for contrast):
 * endpoint-table random-walk chains exploiting preprocessing.
 
 Plus the multi-instance search game used to probe how colliding query
-sets determine later secrets.
+sets determine later secrets. ``ATTACKS`` registers every attack class
+by name (see ``Attack``).
 
 Advice strings are literal '0'/'1' strings; each attack documents its
-own encoding and the engine enforces only the declared length bound.
+own encoding. The engine enforces the declared length bound and the
+query budget.
 """
 
 from __future__ import annotations
@@ -84,12 +86,40 @@ def _slot(residue: int, n: int) -> int:
     return (residue - 1) % n
 
 
+def _config(spec, **knobs) -> AttackConfig:
+    """An experiment spec's n, budget t, advice bound and master seed, plus knobs."""
+    base = dict(n=spec.n, t_budget=spec.t, s_bits=spec.s_bits, seed=spec.master_seed)
+    return AttackConfig(**{**base, **knobs})
+
+
+class Attack:
+    """What the harness knows about an attack, declared on its class.
+
+    ``name`` is the registry key and the CSV ``attack`` column, ``games``
+    the game kinds it plays, and ``adaptive`` (from the adversary base
+    class) exempts it from the non-adaptive ceilings. A ``reseeded``
+    attack is rebuilt every trial from the trial seed, any other once per
+    chunk of trials. An ``own_game`` attack runs its own experiment
+    instead of ``play_game`` and has no ceiling.
+    """
+
+    name: str
+    games: frozenset
+    reseeded = False
+    own_game = False
+
+    @classmethod
+    def from_spec(cls, spec, game: PCGame, trial_seed: int):
+        """The attack for one experiment spec, held to the spec's budget t."""
+        return cls(_config(spec))
+
+
 # ---------------------------------------------------------------------------
 # Baby-step giant-step (non-adaptive, hidden-exponent search)
 # ---------------------------------------------------------------------------
 
 
-class BsgsAdversary(NonAdaptiveAdversary):
+class BsgsAdversary(Attack, NonAdaptiveAdversary):
     """Table of sigma on 0..m-1 as advice; m stride-m outer queries online.
 
     Advice encodes the table sorted by sigma value, 2*ceil(log2 n) bits
@@ -97,6 +127,13 @@ class BsgsAdversary(NonAdaptiveAdversary):
     row j solves d = j - i*m mod n. With m = ceil(sqrt(n)) and m^2 >= n
     every secret is covered and the attack always succeeds.
     """
+
+    name = "bsgs"
+    games = frozenset({GameKind.DLOG})
+
+    @classmethod
+    def from_spec(cls, spec, game, trial_seed):
+        return cls(_config(spec, m=spec.t))
 
     def __init__(self, cfg: AttackConfig):
         if not is_prime(cfg.n):
@@ -112,7 +149,7 @@ class BsgsAdversary(NonAdaptiveAdversary):
             raise ValidationError(
                 f"table of {self.m} entries needs {required} advice bits, bound is {s_bits}"
             )
-        super().__init__(s_bits, name="bsgs")
+        super().__init__(s_bits, cfg.t_budget)
         self.queries = [(1, _element(i * self.m, self.n)) for i in range(self.m)]
 
     def preprocess(self, sigma: np.ndarray) -> str:
@@ -140,16 +177,12 @@ class BsgsAdversary(NonAdaptiveAdversary):
         return self.n
 
 
-def bsgs_adversary(cfg: AttackConfig) -> BsgsAdversary:
-    return BsgsAdversary(cfg)
-
-
 # ---------------------------------------------------------------------------
 # Cycle-finding collision search (adaptive baseline, no preprocessing)
 # ---------------------------------------------------------------------------
 
 
-class PollardRhoAdversary(AdaptiveAdversary):
+class PollardRhoAdversary(Attack, AdaptiveAdversary):
     """Floyd cycle finding over the encoding walk, 3-way partition.
 
     The walk state is an exponent pair (a, b) addressing sigma(a*d + b);
@@ -159,12 +192,20 @@ class PollardRhoAdversary(AdaptiveAdversary):
     start, bounded by the query budget.
     """
 
+    name = "rho"
+    games = frozenset({GameKind.DLOG})
+    reseeded = True
+
+    @classmethod
+    def from_spec(cls, spec, game, trial_seed):
+        return cls(_config(spec, seed=trial_seed))
+
     def __init__(self, cfg: AttackConfig):
         if not is_prime(cfg.n):
             raise ValidationError("cycle-finding search needs a prime group size")
         if cfg.t_budget < 4:
             raise ValidationError("query budget too small")
-        super().__init__(s_bits=0, t_budget=cfg.t_budget, name="rho")
+        super().__init__(s_bits=0, t_budget=cfg.t_budget)
         self.n = cfg.n
         self.seed = cfg.seed
 
@@ -217,16 +258,12 @@ class PollardRhoAdversary(AdaptiveAdversary):
         return best_guess
 
 
-def pollard_rho_adversary(cfg: AttackConfig) -> PollardRhoAdversary:
-    return PollardRhoAdversary(cfg)
-
-
 # ---------------------------------------------------------------------------
 # Endpoint-table chains (adaptive, preprocessing)
 # ---------------------------------------------------------------------------
 
 
-class ChainPreprocessingDlog(AdaptiveAdversary):
+class ChainPreprocessingDlog(Attack, AdaptiveAdversary):
     """Random-walk chains stored by endpoint; online walk from the challenge.
 
     Preprocessing walks ``chains`` chains of ``chain_length`` steps in
@@ -235,7 +272,21 @@ class ChainPreprocessingDlog(AdaptiveAdversary):
     Online, the same walk is driven through outer queries starting from
     sigma(d); hitting a stored endpoint reveals d exactly (encodings are
     injective), so success is limited only by coverage and the budget.
+    From a spec, ``s_bits`` sizes the endpoint table and t is the chain
+    length as well as the budget.
     """
+
+    name = "chains"
+    games = frozenset({GameKind.DLOG})
+
+    @classmethod
+    def from_spec(cls, spec, game, trial_seed):
+        if spec.s_bits is None:
+            raise ValidationError("chains attack needs --s-bits to size the endpoint table")
+        chains = spec.s_bits // (2 * max(1, (spec.n - 1).bit_length()))
+        if chains < 1:
+            raise ValidationError("s_bits too small for a single chain endpoint")
+        return cls(_config(spec, chains=chains, chain_length=spec.t))
 
     def __init__(self, cfg: AttackConfig):
         if not is_prime(cfg.n):
@@ -255,23 +306,29 @@ class ChainPreprocessingDlog(AdaptiveAdversary):
             raise ValidationError(
                 f"{chains} endpoints need {required} advice bits, bound is {s_bits}"
             )
-        super().__init__(s_bits=s_bits, t_budget=cfg.t_budget, name="chains")
+        super().__init__(s_bits=s_bits, t_budget=cfg.t_budget)
 
     def _step_size(self, encoding: int) -> int:
         return 1 + mix64(self.walk_key, encoding) % (self.n - 1)
 
     def preprocess(self, sigma: np.ndarray) -> str:
         out = []
-        endpoints = set()
+        visited = set()
+        merged = 0
         for c in range(self.chains):
             x = mix64(self.walk_key, 0x5747, c) % self.n
+            path = [x]
             for _ in range(self.length):
                 x = (x + self._step_size(int(sigma[_slot(x, self.n)]))) % self.n
-            endpoints.add(x)
+                path.append(x)
+            merged += not visited.isdisjoint(path)
+            visited.update(path)
             end_enc = int(sigma[_slot(x, self.n)])
             out.append(bits_encode(end_enc - 1, self.width) + bits_encode(x, self.width))
-        # merged chains shrink coverage; reported for diagnostics, not fatal
-        self.last_endpoint_collisions = self.chains - len(endpoints)
+        # chains that reach an exponent an earlier chain visited, at any
+        # offset, follow its walk from there and shrink coverage;
+        # reported for diagnostics, not fatal
+        self.last_endpoint_collisions = merged
         return "".join(out)
 
     def run(self, z: str, oracle):
@@ -294,16 +351,12 @@ class ChainPreprocessingDlog(AdaptiveAdversary):
             y = oracle.outer((1, _element(offset, n)))
 
 
-def chain_preprocessing_dlog(cfg: AttackConfig) -> ChainPreprocessingDlog:
-    return ChainPreprocessingDlog(cfg)
-
-
 # ---------------------------------------------------------------------------
 # XOR-difference table key recovery (non-adaptive, XOR cipher)
 # ---------------------------------------------------------------------------
 
 
-class DaemenEmAdversary(NonAdaptiveAdversary):
+class DaemenEmAdversary(Attack, NonAdaptiveAdversary):
     """Difference-table attack recovering (k1, k2) from chosen plaintexts.
 
     Preprocessing stores sigma on X and X^alpha for X = [0, t1/2) (bit
@@ -318,6 +371,9 @@ class DaemenEmAdversary(NonAdaptiveAdversary):
     Requires t1/2 a power of two >= 4 so X is closed under ^1; alpha
     defaults to t1/2, which makes the covered k1 set tile [0, t1*t2/4).
     """
+
+    name = "daemen"
+    games = frozenset({GameKind.EM_KR})
 
     def __init__(self, cfg: AttackConfig):
         if not is_power_of_two(cfg.n):
@@ -353,7 +409,7 @@ class DaemenEmAdversary(NonAdaptiveAdversary):
             raise ValidationError(
                 f"storing {len(self.stored)} values needs {required} bits, bound is {s_bits}"
             )
-        super().__init__(s_bits, name="daemen")
+        super().__init__(s_bits, cfg.t_budget)
         bases = [(r * self.t1) % cfg.n for r in range(t2 // 4)]
         self.queries = []
         for mb in bases:
@@ -389,16 +445,12 @@ class DaemenEmAdversary(NonAdaptiveAdversary):
         return (1, 1)
 
 
-def daemen_em_adversary(cfg: AttackConfig) -> DaemenEmAdversary:
-    return DaemenEmAdversary(cfg)
-
-
 # ---------------------------------------------------------------------------
 # Majority-advice distinguisher (non-adaptive, squared decision game)
 # ---------------------------------------------------------------------------
 
 
-class SqddhMajorityAdversary(NonAdaptiveAdversary):
+class SqddhMajorityAdversary(Attack, NonAdaptiveAdversary):
     """Advice = one majority bit per hash bucket of the rare marked pairs.
 
     Preprocessing enumerates all value pairs (sigma(x), sigma(x^2)),
@@ -409,7 +461,17 @@ class SqddhMajorityAdversary(NonAdaptiveAdversary):
     the marked-pair table, so the first marked response pair's balanced
     bit agrees with its bucket majority noticeably more often than a
     coin, while on the random side it is independent of the advice.
+
+    From a spec, ``s_bits`` is read as the bucket count (one advice bit
+    per bucket), so the advice bound and the table size move together.
     """
+
+    name = "sqddh-majority"
+    games = frozenset({GameKind.SQDDH})
+
+    @classmethod
+    def from_spec(cls, spec, game, trial_seed):
+        return cls(_config(spec, buckets=spec.s_bits))
 
     def __init__(self, cfg: AttackConfig):
         if not is_prime(cfg.n):
@@ -422,7 +484,7 @@ class SqddhMajorityAdversary(NonAdaptiveAdversary):
         s_bits = cfg.s_bits if cfg.s_bits is not None else buckets
         if buckets > s_bits:
             raise ValidationError(f"{buckets} buckets need {buckets} advice bits")
-        super().__init__(s_bits, name="sqddh-majority")
+        super().__init__(s_bits, cfg.t_budget)
         self.n = cfg.n
         self.t = cfg.t_budget
         self.buckets = buckets
@@ -473,20 +535,23 @@ class SqddhMajorityAdversary(NonAdaptiveAdversary):
         return mix64(self.key_guess, *outer_answers) & 1
 
 
-def sqddh_nonadaptive_adversary(cfg: AttackConfig) -> SqddhMajorityAdversary:
-    return SqddhMajorityAdversary(cfg)
-
-
 # ---------------------------------------------------------------------------
 # Constant-output baseline
 # ---------------------------------------------------------------------------
 
 
-class ConstantGuessAdversary(NonAdaptiveAdversary):
+class ConstantGuessAdversary(Attack, NonAdaptiveAdversary):
     """Zero queries, constant output; the floor every attack must beat."""
 
-    def __init__(self, game: PCGame, value=None):
-        super().__init__(s_bits=0, name="guess")
+    name = "guess"
+    games = frozenset(GameKind)
+
+    @classmethod
+    def from_spec(cls, spec, game, trial_seed):
+        return cls(game, t_budget=spec.t)
+
+    def __init__(self, game: PCGame, value=None, t_budget: Optional[int] = None):
+        super().__init__(s_bits=0, t_budget=t_budget)
         if value is None:
             value = {
                 GameKind.DLOG: 1,
@@ -504,29 +569,25 @@ class ConstantGuessAdversary(NonAdaptiveAdversary):
         return self.value
 
 
-def constant_guess_adversary(game: PCGame, value=None) -> ConstantGuessAdversary:
-    return ConstantGuessAdversary(game, value)
-
-
 # ---------------------------------------------------------------------------
 # Multi-instance search game
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MiGameState:
-    """Shared state of one multi-instance run.
+class MultiInstanceGame(Attack):
+    """The multi-instance game as an experiment: one trial is one
+    ``run_mi_game`` run, a success when every instance is solved. It plays
+    its own game and so has no ceiling; its declared advice is ``s_bits``
+    or 0. Adaptive: later secrets are derived from earlier answers."""
 
-    The permutation is drawn once and stays fixed across instances;
-    secrets are independent and uniform; the oracle history maps each
-    sigma output seen so far to the (instance, query index) that first
-    produced it.
-    """
+    name = "mi"
+    games = frozenset({GameKind.DLOG})
+    adaptive = True
+    own_game = True
 
-    sigma: np.ndarray
-    instance_secrets: list
-    per_instance_queries: int
-    answers_so_far: dict
+    def __init__(self, cfg: AttackConfig):
+        self.cfg = cfg
+        self.s_bits = cfg.s_bits if cfg.s_bits is not None else 0
 
 
 @dataclass(frozen=True)
@@ -588,12 +649,10 @@ def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
         raise ValidationError("need at least one instance")
 
     rng = np.random.Generator(np.random.PCG64(seed if seed is not None else cfg.seed))
-    state = MiGameState(
-        sigma=random_sigma(rng, n),
-        instance_secrets=[int(rng.integers(0, n)) for _ in range(instances)],
-        per_instance_queries=t,
-        answers_so_far={},
-    )
+    # one permutation fixed across instances, independent uniform secrets
+    sigma = random_sigma(rng, n)
+    secrets = [int(rng.integers(0, n)) for _ in range(instances)]
+    first_seen: dict = {}  # sigma output -> (instance, query index) that first produced it
     g = _smallest_generator(n)
     g_inv = pow(g, -1, n)
     coeff = [pow(g_inv, j, n) for j in range(1, t // 2 + 1)]
@@ -613,13 +672,13 @@ def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
     determined = 0
 
     for inst in range(instances):
-        d = state.instance_secrets[inst]  # residue; 0 is the element n
+        d = secrets[inst]  # residue; 0 is the element n
         answers = []
         points = []
         for a in coeff:
             u = (a * d) % n
             points.append(u)
-            answers.append(int(state.sigma[_slot(u, n)]))
+            answers.append(int(sigma[_slot(u, n)]))
         if d != 0:
             base = int(dlog[d])
             exponents.extend((base + e) % (n - 1) for e in coeff_exp)
@@ -629,7 +688,7 @@ def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
             derived = 0  # distinct nonzero coefficients can only collide at 0
         else:
             for j, v in enumerate(answers):
-                owner = state.answers_so_far.get(v)
+                owner = first_seen.get(v)
                 if owner is not None and owner[0] in believed:
                     i_prev, j_prev = owner
                     derived = (coeff[j_prev] * believed[i_prev] * pow(coeff[j], -1, n)) % n
@@ -647,7 +706,7 @@ def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
         if solved != d:
             all_correct = False
         for j, v in enumerate(answers):
-            state.answers_so_far.setdefault(v, (inst, j))
+            first_seen.setdefault(v, (inst, j))
 
     post = instances - guess_count
     determined_fraction = determined / post if post > 0 else 0.0
@@ -669,3 +728,17 @@ def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
         guessed=guess_count,
         determined=determined,
     )
+
+
+ATTACKS = {
+    cls.name: cls
+    for cls in (BsgsAdversary, PollardRhoAdversary, ChainPreprocessingDlog, DaemenEmAdversary,
+                SqddhMajorityAdversary, ConstantGuessAdversary, MultiInstanceGame)
+}
+
+bsgs_adversary = BsgsAdversary
+pollard_rho_adversary = PollardRhoAdversary
+chain_preprocessing_dlog = ChainPreprocessingDlog
+daemen_em_adversary = DaemenEmAdversary
+sqddh_nonadaptive_adversary = SqddhMajorityAdversary
+constant_guess_adversary = ConstantGuessAdversary

@@ -21,16 +21,15 @@ import sys
 from contextlib import ExitStack
 from dataclasses import asdict
 
-from .attacks import AttackConfig, run_mi_game
+from .attacks import ATTACKS, AttackConfig, run_mi_game
 from .bounds import BoundTheorem, evaluate_bound
 from .errors import ContractViolation, PermchalError, ValidationError
 from .games import build_game, measure_uniformity
 from .harness import (
-    CSV_COLUMNS,
-    CSV_VERSION_LINE,
     GAME_ALIASES,
     ExperimentSpec,
     check_bound_assertions,
+    csv_writer,
     run_trials,
     sweep_grid,
     verify_inequalities,
@@ -48,7 +47,7 @@ _SPEC_KEYS = {"game", "attack", "n", "s_bits", "t", "trials", "seed", "theorem"}
 
 def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--game", choices=sorted(GAME_ALIASES), required=True)
-    p.add_argument("--attack", required=True)
+    p.add_argument("--attack", choices=sorted(ATTACKS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s-bits", type=int, default=None)
     p.add_argument("--t", type=int, required=True)
@@ -129,62 +128,41 @@ def _load_sweep_config(path: str) -> list:
     return [_spec_from_mapping(entry, i) for i, entry in enumerate(data)]
 
 
-def _emit_reports(reports, args, stack: ExitStack) -> None:
+def _output(args, stack: ExitStack):
     if args.out is None:
-        fh = sys.stdout
-    else:
-        fh = stack.enter_context(open(args.out, "w", encoding="utf-8", newline=""))
-    if args.format == "json":
-        write_json(reports, fh)
-    else:
-        write_csv(reports, fh, timing=args.timing)
+        return sys.stdout
+    return stack.enter_context(open(args.out, "w", encoding="utf-8", newline=""))
 
 
-def _cmd_game(args) -> int:
-    spec = ExperimentSpec(
-        game=args.game,
-        attack=args.attack,
-        n=args.n,
-        t=args.t,
-        trials=args.trials,
-        master_seed=args.seed,
-        s_bits=args.s_bits,
-        theorem=args.theorem,
-    )
-    report = run_trials(spec, jobs=args.jobs)
-    with ExitStack() as stack:
-        _emit_reports([report], args, stack)
-    if args.assert_bounds and check_bound_assertions([report]):
-        print("bound assertion failed", file=sys.stderr)
-        return EXIT_ASSERT
-    return EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    specs = _load_sweep_config(args.config)
-    reports = []
-    with ExitStack() as stack:
-        if args.out is None:
-            fh = sys.stdout
-        else:
-            fh = stack.enter_context(open(args.out, "w", encoding="utf-8", newline=""))
-        if args.format == "csv":
-            fh.write(CSV_VERSION_LINE + "\n")
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-
-            def flush(report):
-                fh.write(",".join(report.csv_row(timing=args.timing)) + "\n")
-                fh.flush()
-                reports.append(report)
-
-            sweep_grid(specs, jobs=args.jobs, on_report=flush)
-        else:
-            sweep_grid(specs, jobs=args.jobs, on_report=reports.append)
-            write_json(reports, fh)
+def _assert_exit(args, reports) -> int:
     if args.assert_bounds and check_bound_assertions(reports):
         print("bound assertion failed", file=sys.stderr)
         return EXIT_ASSERT
     return EXIT_OK
+
+
+def _cmd_game(args) -> int:
+    spec = ExperimentSpec(master_seed=args.seed, **{k: getattr(args, k) for k in _SPEC_KEYS - {"seed"}})
+    report = run_trials(spec, jobs=args.jobs)
+    with ExitStack() as stack:
+        fh = _output(args, stack)
+        if args.format == "json":
+            write_json([report], fh)
+        else:
+            write_csv([report], fh, timing=args.timing)
+    return _assert_exit(args, [report])
+
+
+def _cmd_sweep(args) -> int:
+    specs = _load_sweep_config(args.config)
+    with ExitStack() as stack:
+        fh = _output(args, stack)
+        # CSV rows stream out as each spec completes; JSON is written at the end
+        on_report = csv_writer(fh, timing=args.timing) if args.format == "csv" else None
+        reports = sweep_grid(specs, jobs=args.jobs, on_report=on_report)
+        if args.format == "json":
+            write_json(reports, fh)
+    return _assert_exit(args, reports)
 
 
 def _cmd_uniformity(args) -> int:
@@ -279,10 +257,7 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except PermchalError as exc:
+    except (PermchalError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

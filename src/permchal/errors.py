@@ -12,7 +12,7 @@ class ValidationError(PermchalError, ValueError):
 class ContractViolation(PermchalError, RuntimeError):
     """An adversary broke its protocol contract.
 
-    Raised for over-long advice strings, a plan invocation after answers
-    were delivered, inverse inner queries in games that forbid them, and
-    queries outside the declared query spaces.
+    Raised for over-long advice strings, queries over the budget, a plan
+    invocation after answers were delivered, inverse inner queries in
+    games that forbid them, and queries outside the declared query spaces.
     """

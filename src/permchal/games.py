@@ -519,25 +519,33 @@ def build_game(kind, n: int) -> PCGame:
 # ---------------------------------------------------------------------------
 
 
-class NonAdaptiveAdversary:
+class _Adversary:
+    """Advice bound S and query budget T (None: unbounded) of either contract."""
+
+    def __init__(self, s_bits: int, t_budget: Optional[int] = None):
+        if s_bits < 0:
+            raise ValidationError("s_bits must be non-negative")
+        self.s_bits = s_bits
+        self.t_budget = t_budget
+
+    def preprocess(self, sigma: np.ndarray) -> str:
+        return ""
+
+
+class NonAdaptiveAdversary(_Adversary):
     """Commits to all queries after seeing only the advice string.
 
     Subclasses implement ``_plan`` and ``decide``. The engine arms the
     adversary per trial; invoking ``plan`` more than once, or after
-    answers were delivered, is a contract violation.
+    answers were delivered, is a contract violation, and so is a plan
+    of more than ``t_budget`` queries.
     """
 
     adaptive = False
 
-    def __init__(self, s_bits: int, name: str = "non-adaptive"):
-        if s_bits < 0:
-            raise ValidationError("s_bits must be non-negative")
-        self.s_bits = s_bits
-        self.name = name
+    def __init__(self, s_bits: int, t_budget: Optional[int] = None):
+        super().__init__(s_bits, t_budget)
         self._phase = "idle"
-
-    def preprocess(self, sigma: np.ndarray) -> str:
-        return ""
 
     def plan(self, z: str):
         if self._phase != "ready":
@@ -561,21 +569,11 @@ class NonAdaptiveAdversary:
         self._phase = "answered"
 
 
-class AdaptiveAdversary:
+class AdaptiveAdversary(_Adversary):
     """Step-wise adversary driving a query oracle; excluded from the
     non-adaptive bound comparisons."""
 
     adaptive = True
-
-    def __init__(self, s_bits: int, t_budget: Optional[int] = None, name: str = "adaptive"):
-        if s_bits < 0:
-            raise ValidationError("s_bits must be non-negative")
-        self.s_bits = s_bits
-        self.t_budget = t_budget
-        self.name = name
-
-    def preprocess(self, sigma: np.ndarray) -> str:
-        return ""
 
     def run(self, z: str, oracle: "GameOracle"):
         raise NotImplementedError
@@ -657,8 +655,9 @@ def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
     """Run one full game and assemble the transcript.
 
     The preprocessing stage receives the whole permutation; the online
-    stage is driven per the adversary's adaptivity contract. Success is
-    the comparison of the output with the game's function of the secret.
+    stage is driven per the adversary's adaptivity contract. Advice over
+    ``s_bits`` or more than ``t_budget`` queries is a ``ContractViolation``.
+    Success is the comparison of the output with the game's function of the secret.
     ``sigma`` is a permutation array of length n or a ``LazyPermutation``
     of [n]; the lazy one is drawn as the adversary reads it.
     """
@@ -684,6 +683,9 @@ def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
     else:
         adversary._begin_trial()
         inner_queries, outer_queries = adversary.plan(advice)
+        issued = len(inner_queries) + len(outer_queries)
+        if adversary.t_budget is not None and issued > adversary.t_budget:
+            raise ContractViolation(f"plan of {issued} queries exceeds the budget {adversary.t_budget}")
         inv = None
         inner_answers = []
         for q in inner_queries:

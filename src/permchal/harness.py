@@ -20,16 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .attacks import (
-    AttackConfig,
-    bsgs_adversary,
-    chain_preprocessing_dlog,
-    constant_guess_adversary,
-    daemen_em_adversary,
-    pollard_rho_adversary,
-    run_mi_game,
-    sqddh_nonadaptive_adversary,
-)
+from .attacks import ATTACKS, run_mi_game
 from .bounds import BoundTheorem, evaluate_bound, theorem_for_game
 from .errors import ValidationError
 from .games import GameKind, build_game, play_game, random_sigma
@@ -59,16 +50,6 @@ GAME_ALIASES = {
     "em1k": GameKind.EM_KR_SINGLE,
 }
 
-_ATTACK_GAMES = {
-    "bsgs": {GameKind.DLOG},
-    "rho": {GameKind.DLOG},
-    "chains": {GameKind.DLOG},
-    "daemen": {GameKind.EM_KR},
-    "sqddh-majority": {GameKind.SQDDH},
-    "guess": set(GAME_ALIASES.values()),
-    "mi": {GameKind.DLOG},
-}
-
 CSV_COLUMNS = [
     "game",
     "attack",
@@ -90,14 +71,15 @@ CSV_VERSION_LINE = "#permchal-v1 columns=" + ",".join(CSV_COLUMNS)
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple:
-    """Wilson score interval; always contains the point estimate."""
+    """Wilson score interval; always contains the point estimate (the ends are
+    clamped to it: at 0 of 400, center - half rounds to 8.7e-19)."""
     if trials < 1 or not (0 <= successes <= trials):
         raise ValidationError("wilson_interval: need 0 <= successes <= trials, trials >= 1")
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return max(0.0, min(p, center - half)), min(1.0, max(p, center + half))
 
 
 @dataclass(frozen=True)
@@ -114,10 +96,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.game not in GAME_ALIASES:
             raise ValidationError(f"unknown game {self.game!r}")
-        if self.attack not in _ATTACK_GAMES:
+        if self.attack not in ATTACKS:
             raise ValidationError(f"unknown attack {self.attack!r}")
-        kind = GAME_ALIASES[self.game]
-        if kind not in _ATTACK_GAMES[self.attack]:
+        if self.kind not in ATTACKS[self.attack].games:
             raise ValidationError(f"attack {self.attack!r} does not apply to game {self.game!r}")
         if self.trials < 1:
             raise ValidationError("trials must be at least 1")
@@ -176,58 +157,21 @@ class ExperimentReport:
         return d
 
 
-def _attack_config(spec: ExperimentSpec, trial_seed: int) -> AttackConfig:
-    base = dict(n=spec.n, t_budget=spec.t, s_bits=spec.s_bits)
-    if spec.attack == "bsgs":
-        return AttackConfig(**base, m=spec.t, seed=spec.master_seed)
-    if spec.attack == "rho":
-        return AttackConfig(**base, seed=trial_seed)
-    if spec.attack == "chains":
-        if spec.s_bits is None:
-            raise ValidationError("chains attack needs --s-bits to size the endpoint table")
-        width = max(1, (spec.n - 1).bit_length())
-        chains = spec.s_bits // (2 * width)
-        if chains < 1:
-            raise ValidationError("s_bits too small for a single chain endpoint")
-        return AttackConfig(
-            **base, chains=chains, chain_length=spec.t, seed=spec.master_seed
-        )
-    if spec.attack == "daemen":
-        return AttackConfig(**base, seed=spec.master_seed)
-    if spec.attack == "sqddh-majority":
-        buckets = spec.s_bits if spec.s_bits is not None else None
-        return AttackConfig(**base, buckets=buckets, seed=spec.master_seed)
-    return AttackConfig(**base, seed=spec.master_seed)
-
-
-_ATTACK_BUILDERS: dict = {
-    "bsgs": bsgs_adversary,
-    "rho": pollard_rho_adversary,
-    "chains": chain_preprocessing_dlog,
-    "daemen": daemen_em_adversary,
-    "sqddh-majority": sqddh_nonadaptive_adversary,
-}
-
-
 def build_adversary(spec: ExperimentSpec, game, trial_seed: int = 0):
-    if spec.attack == "guess":
-        return constant_guess_adversary(game)
-    if spec.attack == "mi":
-        raise ValidationError("the multi-instance game is run directly, not via play_game")
-    return _ATTACK_BUILDERS[spec.attack](_attack_config(spec, trial_seed))
+    return ATTACKS[spec.attack].from_spec(spec, game, trial_seed)
 
 
 def resolve_theorem(spec: ExperimentSpec) -> Optional[BoundTheorem]:
-    if spec.attack == "mi":
-        if spec.theorem not in (None, "auto", "none"):
-            raise ValidationError("the multi-instance game has no bound theorem")
-        return None
-    if spec.theorem in (None, "auto"):
-        return theorem_for_game(spec.kind)
     if spec.theorem == "none":
         return None
-    theorem = BoundTheorem(spec.theorem)
+    if ATTACKS[spec.attack].own_game:
+        if spec.theorem not in (None, "auto"):
+            raise ValidationError(f"attack {spec.attack!r} plays its own game and has no bound theorem")
+        return None
     expected = theorem_for_game(spec.kind)
+    if spec.theorem in (None, "auto"):
+        return expected
+    theorem = BoundTheorem(spec.theorem)
     if theorem != expected:
         raise ValidationError(
             f"theorem {theorem.value} does not apply to game {spec.game!r}; expected {expected.value}"
@@ -236,24 +180,20 @@ def resolve_theorem(spec: ExperimentSpec) -> Optional[BoundTheorem]:
 
 
 def _run_chunk(spec: ExperimentSpec, lo: int, hi: int) -> int:
+    attack = ATTACKS[spec.attack]
     game = build_game(spec.kind, spec.n)
     successes = 0
     adversary = None
     for index in range(lo, hi):
         tseed = derive_trial_seed(spec.master_seed, index)
-        if spec.attack == "mi":
-            cfg = AttackConfig(
-                n=spec.n, t_budget=spec.t, s_bits=spec.s_bits, forced_correct=False
-            )
-            successes += run_mi_game(cfg, seed=tseed).all_correct
+        if adversary is None or attack.reseeded:
+            adversary = build_adversary(spec, game, tseed)
+        if attack.own_game:
+            successes += run_mi_game(adversary.cfg, seed=tseed).all_correct
             continue
         rng = trial_generator(spec.master_seed, index)
         sigma = random_sigma(rng, spec.n)
         secret = game.sample_secret(rng)
-        if spec.attack == "rho":
-            adversary = build_adversary(spec, game, tseed)
-        elif adversary is None:
-            adversary = build_adversary(spec, game)
         successes += play_game(game, adversary, sigma, secret).success
     return successes
 
@@ -274,10 +214,7 @@ def run_trials(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     start = time.perf_counter()
     theorem = resolve_theorem(spec)
     game = build_game(spec.kind, spec.n)
-    if spec.attack == "mi":
-        declared_bits = spec.s_bits if spec.s_bits is not None else 0
-    else:
-        declared_bits = build_adversary(spec, game, derive_trial_seed(spec.master_seed, 0)).s_bits
+    declared_bits = build_adversary(spec, game, derive_trial_seed(spec.master_seed, 0)).s_bits
 
     if jobs <= 1 or spec.trials < 2:
         successes = _run_chunk(spec, 0, spec.trials)
@@ -328,11 +265,22 @@ def sweep_grid(
     return reports
 
 
-def write_csv(reports: Iterable[ExperimentReport], fh, timing: bool = False) -> None:
+def csv_writer(fh, timing: bool = False) -> Callable[[ExperimentReport], None]:
+    """Write the CSV header; the returned callback writes and flushes one row."""
     fh.write(CSV_VERSION_LINE + "\n")
     fh.write(",".join(CSV_COLUMNS) + "\n")
+
+    def write_row(report: ExperimentReport) -> None:
+        fh.write(",".join(report.csv_row(timing=timing)) + "\n")
+        fh.flush()
+
+    return write_row
+
+
+def write_csv(reports: Iterable[ExperimentReport], fh, timing: bool = False) -> None:
+    write_row = csv_writer(fh, timing)
     for r in reports:
-        fh.write(",".join(r.csv_row(timing=timing)) + "\n")
+        write_row(r)
 
 
 def write_json(reports: Iterable[ExperimentReport], fh) -> None:
@@ -345,10 +293,9 @@ def check_bound_assertions(reports: Iterable[ExperimentReport], slack: float = 0
 
     Only non-adaptive attacks are held to the ceilings.
     """
-    adaptive = {"rho", "chains", "mi"}
     bad = []
     for r in reports:
-        if r.spec.attack in adaptive or r.bound_value is None:
+        if ATTACKS[r.spec.attack].adaptive or r.bound_value is None:
             continue
         half = (r.ci_high - r.ci_low) / 2.0
         if r.p_hat > r.bound_value + half + slack:

@@ -5,6 +5,7 @@ import pytest
 
 from permchal.attacks import (
     AttackConfig,
+    bits_encode,
     bsgs_adversary,
     chain_preprocessing_dlog,
     constant_guess_adversary,
@@ -177,6 +178,38 @@ class TestChainPreprocessing:
         sigma = random_sigma(np.random.Generator(np.random.PCG64(16)), 101)
         adv.preprocess(sigma)
         assert 0 <= adv.last_endpoint_collisions < 20
+
+    def test_merge_count_matches_pairwise_brute_force(self):
+        # a chain is merged when any of its exponents lies on an earlier
+        # chain, at any offset; the advice is the endpoint table either way
+        n, chains, length = 101, 8, 6
+        counts = []
+        for seed in range(12):
+            adv = chain_preprocessing_dlog(
+                AttackConfig(n=n, t_budget=length, chains=chains, chain_length=length, seed=seed)
+            )
+            sigma = random_sigma(np.random.Generator(np.random.PCG64(100 + seed)), n)
+            advice = adv.preprocess(sigma)
+            paths = []
+            for c in range(chains):
+                x = mix64(adv.walk_key, 0x5747, c) % n
+                path = [x]
+                for _ in range(length):
+                    x = (x + adv._step_size(int(sigma[(x - 1) % n]))) % n
+                    path.append(x)
+                paths.append(path)
+            merged = sum(
+                any(x == y for earlier in paths[:c] for y in earlier for x in paths[c])
+                for c in range(chains)
+            )
+            assert adv.last_endpoint_collisions == merged
+            assert advice == "".join(
+                bits_encode(int(sigma[(p[-1] - 1) % n]) - 1, adv.width) + bits_encode(p[-1], adv.width)
+                for p in paths
+            )
+            counts.append((merged, chains - len({p[-1] for p in paths})))
+        # offset merges are counted: some seed merges chains whose endpoints all differ
+        assert any(merged > 0 and same_end == 0 for merged, same_end in counts), counts
 
 
 class TestDaemen:

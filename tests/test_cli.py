@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from permchal import cli
+from permchal.attacks import AttackConfig, BsgsAdversary
 from permchal.errors import ContractViolation
 
 
@@ -78,6 +81,25 @@ class TestGameCommand:
         )
         assert code == 3
         assert "synthetic violation" in err
+
+    def test_plan_over_the_query_budget_exit_code(self, capsys, monkeypatch):
+        # a table one column wider than the budget t plans t + 1 outer queries
+        def too_wide(cls, spec, game, trial_seed):
+            return cls(AttackConfig(n=spec.n, t_budget=spec.t, m=spec.t + 1))
+
+        monkeypatch.setattr(BsgsAdversary, "from_spec", classmethod(too_wide))
+        code, _, err = run_cli(
+            capsys,
+            "game", "--game", "dlog", "--attack", "bsgs",
+            "--n", "101", "--t", "5", "--trials", "3",
+        )
+        assert code == 3
+        assert "budget" in err
+
+    def test_attack_choices_come_from_the_registry(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["game", "--game", "dlog", "--attack", "nope", "--n", "11", "--t", "1", "--trials", "1"])
+        assert "sqddh-majority" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -4,9 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from permchal.attacks import ATTACKS, Attack
 from permchal.errors import ValidationError
+from permchal.games import AdaptiveAdversary, GameKind
 from permchal.harness import (
     CSV_VERSION_LINE,
+    GAME_ALIASES,
+    ExperimentReport,
     ExperimentSpec,
     check_bound_assertions,
     run_trials,
@@ -48,6 +52,12 @@ class TestWilson:
             lo, hi = wilson_interval(successes, trials)
             assert lo <= successes / trials <= hi
             assert 0.0 <= lo <= hi <= 1.0
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 24, 100, 400, 1000, 4999])
+    def test_exact_containment_at_the_extremes(self, trials):
+        # at 0 or all successes the unclamped ends miss p_hat by a rounding step
+        assert wilson_interval(0, trials)[0] == 0.0
+        assert wilson_interval(trials, trials)[1] == 1.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -106,6 +116,61 @@ class TestRunTrials:
         parallel = run_trials(spec, jobs=3)
         assert serial.successes == parallel.successes
         assert serial.csv_row() == parallel.csv_row()
+
+
+class _ToyAdaptive(Attack, AdaptiveAdversary):
+    """Finds sigma(d) by inner queries 1, 2, ...: an attack added by one class."""
+
+    name = "toy-adaptive"
+    games = frozenset({GameKind.DLOG})
+
+    def __init__(self, cfg):
+        super().__init__(s_bits=0, t_budget=cfg.t_budget)
+        self.n = cfg.n
+
+    def run(self, z, oracle):
+        y = oracle.outer((1, self.n))  # sigma(d): a = 1, b = the element n (zero)
+        return next(i for i in range(1, self.n + 1) if oracle.inner(i) == y)
+
+
+class TestAttackRegistry:
+    @pytest.mark.parametrize("game", sorted(GAME_ALIASES))
+    @pytest.mark.parametrize("attack", sorted(ATTACKS))
+    def test_spec_accepts_exactly_the_declared_games(self, attack, game):
+        assert ATTACKS[attack].name == attack
+        if GAME_ALIASES[game] in ATTACKS[attack].games:
+            ExperimentSpec(game=game, attack=attack, n=11, t=2, trials=1)
+        else:
+            with pytest.raises(ValidationError):
+                ExperimentSpec(game=game, attack=attack, n=11, t=2, trials=1)
+
+    def test_unknown_attack_rejected(self):
+        with pytest.raises(ValidationError):
+            ExperimentSpec(game="dlog", attack="nope", n=11, t=2, trials=1)
+
+    def test_registered_class_runs_and_is_exempt_from_ceilings(self, monkeypatch):
+        monkeypatch.setitem(ATTACKS, _ToyAdaptive.name, _ToyAdaptive)
+        spec = ExperimentSpec(game="dlog", attack="toy-adaptive", n=11, t=12, trials=20)
+        assert run_trials(spec).successes == 20
+
+        def above_ceiling(attack):
+            return ExperimentReport(
+                spec=ExperimentSpec(game="dlog", attack=attack, n=101, t=4, trials=100),
+                s_bits=0, successes=100, p_hat=1.0, ci_low=0.963, ci_high=1.0,
+                bound_theorem="T11", bound_value=0.1, seconds=0.0,
+            )
+
+        adaptive, non_adaptive = above_ceiling("toy-adaptive"), above_ceiling("bsgs")
+        assert check_bound_assertions([adaptive, non_adaptive]) == [non_adaptive]
+
+    def test_mi_plays_its_own_game_without_a_ceiling(self):
+        report = run_trials(ExperimentSpec(game="dlog", attack="mi", n=101, t=10, trials=3))
+        assert (report.s_bits, report.bound_theorem, report.bound_value) == (0, "", None)
+        assert run_trials(
+            ExperimentSpec(game="dlog", attack="mi", n=101, t=10, trials=1, s_bits=7)
+        ).s_bits == 7
+        with pytest.raises(ValidationError):
+            run_trials(ExperimentSpec(game="dlog", attack="mi", n=101, t=10, trials=1, theorem="T11"))
 
 
 class TestSweep:

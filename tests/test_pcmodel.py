@@ -32,8 +32,8 @@ POWERS_OF_TWO = (2, 4, 8, 16)
 class _FixedQueryAdversary(NonAdaptiveAdversary):
     """Replays fixed query lists and returns a constant; test scaffolding."""
 
-    def __init__(self, inner=(), outer=(), output=1):
-        super().__init__(s_bits=0)
+    def __init__(self, inner=(), outer=(), output=1, t_budget=None):
+        super().__init__(s_bits=0, t_budget=t_budget)
         self.inner = list(inner)
         self.outer = list(outer)
         self.output = output
@@ -188,6 +188,13 @@ class TestPlayGame:
 
         with pytest.raises(ContractViolation):
             play_game(g, Verbose(), np.arange(1, 6), 2)
+
+    def test_plan_over_the_query_budget_is_hard_failure(self):
+        g = build_game("DLOG", 5)
+        with pytest.raises(ContractViolation, match="budget"):
+            play_game(g, _FixedQueryAdversary(inner=[2], outer=[(1, 5)], t_budget=1), np.arange(1, 6), 3)
+        tr = play_game(g, _FixedQueryAdversary(inner=[2], outer=[(1, 5)], t_budget=2), np.arange(1, 6), 3)
+        assert tr.t1 + tr.t2 == 2
 
     def test_inverse_inner_rules(self):
         dlog = build_game("DLOG", 5)
