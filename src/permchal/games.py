@@ -197,9 +197,22 @@ class PCGame:
     def validate_outer_query(self, m) -> None:
         raise NotImplementedError
 
+    def _coefficients(self, secret):
+        """What the translation reads of a secret.
+
+        Plain integer arithmetic, so it takes one secret (Python ints) or
+        every secret at once as the int64 columns of ``iter_secrets()``.
+        """
+        raise NotImplementedError
+
+    def _translate_index(self, coefficients, m):
+        """0-based index of the sigma input addressed by outer query m;
+        broadcasts over coefficient columns."""
+        raise NotImplementedError
+
     def translate_index(self, secret, m) -> int:
         """0-based index of the sigma input addressed by outer query m."""
-        raise NotImplementedError
+        return self._translate_index(self._coefficients(secret), m)
 
     def translate(self, secret, m) -> int:
         return self.element_from_index(self.translate_index(secret, m))
@@ -207,21 +220,14 @@ class PCGame:
     def post_process(self, secret, j: int) -> int:
         return j
 
-    # -- vectorized uniformity support --------------------------------------
     @cached_property
-    def _secret_columns(self) -> tuple:
+    def _secret_columns(self):
+        """``_coefficients`` of every secret, in iter_secrets order."""
         if self.secret_count > MAX_SECRET_ENUMERATION:
             raise ValidationError(
                 f"secret space of size {self.secret_count} is too large to enumerate"
             )
-        return self._build_secret_columns()
-
-    def _build_secret_columns(self) -> tuple:
-        raise NotImplementedError
-
-    def translate_index_batch(self, m) -> np.ndarray:
-        """translate_index of m against every secret, in iter_secrets order."""
-        raise NotImplementedError
+        return self._coefficients(np.array(list(self.iter_secrets()), dtype=np.int64).T)
 
 
 class _GgmGame(PCGame):
@@ -235,9 +241,6 @@ class _GgmGame(PCGame):
 
     def element_from_index(self, idx: int) -> int:
         return self.n if idx == 0 else idx
-
-    def _residue(self, element: int) -> int:
-        return element % self.n
 
 
 class DlogGame(_GgmGame):
@@ -272,17 +275,11 @@ class DlogGame(_GgmGame):
         if not (1 <= a <= self.n - 1 and 1 <= b <= self.n):
             raise ValidationError(f"DLOG outer query {m!r} out of range")
 
-    def translate_index(self, secret, m) -> int:
-        a, b = m
-        return (a * self._residue(secret) + b) % self.n
+    def _coefficients(self, secret):
+        return secret % self.n
 
-    def _build_secret_columns(self):
-        d = np.arange(1, self.n + 1, dtype=np.int64) % self.n
-        return (d,)
-
-    def translate_index_batch(self, m) -> np.ndarray:
+    def _translate_index(self, d, m):
         a, b = m
-        (d,) = self._secret_columns
         return (a * d + b) % self.n
 
 
@@ -326,26 +323,16 @@ class DdhGame(_GgmGame):
         if a1 == self.n and a2 == self.n and a3 == self.n:
             raise ValidationError("DDH outer query with a1=a2=a3=0 is an inner query")
 
-    def translate_index(self, secret, m) -> int:
+    def _coefficients(self, secret):
         d1, d2, d3, k = secret
+        n = self.n
+        r1, r2 = d1 % n, d2 % n
+        return r1, r2, k * (r1 * r2 % n) + (1 - k) * (d3 % n)
+
+    def _translate_index(self, coefficients, m):
+        r1, r2, quad = coefficients
         a1, a2, a3, b = m
-        r1, r2, r3 = self._residue(d1), self._residue(d2), self._residue(d3)
-        quad = (r1 * r2) % self.n if k == 1 else r3
         return (a1 * r1 + a2 * r2 + a3 * quad + b) % self.n
-
-    def _build_secret_columns(self):
-        rows = np.array(list(self.iter_secrets()), dtype=np.int64)
-        d1 = rows[:, 0] % self.n
-        d2 = rows[:, 1] % self.n
-        d3 = rows[:, 2] % self.n
-        k = rows[:, 3]
-        quad = np.where(k == 1, (d1 * d2) % self.n, d3)
-        return d1, d2, quad
-
-    def translate_index_batch(self, m) -> np.ndarray:
-        a1, a2, a3, b = m
-        d1, d2, quad = self._secret_columns
-        return (a1 * d1 + a2 * d2 + a3 * quad + b) % self.n
 
 
 class SqddhGame(_GgmGame):
@@ -388,25 +375,16 @@ class SqddhGame(_GgmGame):
         if a1 == self.n and a2 == self.n:
             raise ValidationError("sqDDH outer query with a1=a2=0 is an inner query")
 
-    def translate_index(self, secret, m) -> int:
+    def _coefficients(self, secret):
         d1, d2, k = secret
+        n = self.n
+        r1 = d1 % n
+        return r1, k * (r1 * r1 % n) + (1 - k) * (d2 % n)
+
+    def _translate_index(self, coefficients, m):
+        r1, second = coefficients
         a1, a2, b = m
-        r1, r2 = self._residue(d1), self._residue(d2)
-        second = (r1 * r1) % self.n if k == 1 else r2
         return (a1 * r1 + a2 * second + b) % self.n
-
-    def _build_secret_columns(self):
-        rows = np.array(list(self.iter_secrets()), dtype=np.int64)
-        d1 = rows[:, 0] % self.n
-        d2 = rows[:, 1] % self.n
-        k = rows[:, 2]
-        second = np.where(k == 1, (d1 * d1) % self.n, d2)
-        return d1, second
-
-    def translate_index_batch(self, m) -> np.ndarray:
-        a1, a2, b = m
-        d1, second = self._secret_columns
-        return (a1 * d1 + a2 * second + b) % self.n
 
 
 class _EmGame(PCGame):
@@ -424,6 +402,9 @@ class _EmGame(PCGame):
     @staticmethod
     def _bits(element: int) -> int:
         return element - 1
+
+    def _translate_index(self, k1, m):
+        return self._bits(m) ^ k1
 
     @property
     def outer_query_count(self) -> int:
@@ -455,19 +436,11 @@ class EmKrGame(_EmGame):
     def success_target(self, secret):
         return secret
 
-    def translate_index(self, secret, m) -> int:
-        return self._bits(m) ^ self._bits(secret[0])
+    def _coefficients(self, secret):
+        return self._bits(secret[0])
 
     def post_process(self, secret, j: int) -> int:
         return (self._bits(j) ^ self._bits(secret[1])) + 1
-
-    def _build_secret_columns(self):
-        rows = np.array(list(self.iter_secrets()), dtype=np.int64)
-        return (rows[:, 0] - 1,)
-
-    def translate_index_batch(self, m) -> np.ndarray:
-        (k1,) = self._secret_columns
-        return (m - 1) ^ k1
 
 
 class EmKrSingleGame(_EmGame):
@@ -486,18 +459,11 @@ class EmKrSingleGame(_EmGame):
     def success_target(self, secret):
         return secret
 
-    def translate_index(self, secret, m) -> int:
-        return self._bits(m) ^ self._bits(secret)
+    def _coefficients(self, secret):
+        return self._bits(secret)
 
     def post_process(self, secret, j: int) -> int:
         return (self._bits(j) ^ self._bits(secret)) + 1
-
-    def _build_secret_columns(self):
-        return (np.arange(self.n, dtype=np.int64),)
-
-    def translate_index_batch(self, m) -> np.ndarray:
-        (k1,) = self._secret_columns
-        return (m - 1) ^ k1
 
 
 _GAME_CLASSES = {
@@ -510,7 +476,8 @@ _GAME_CLASSES = {
 
 
 def build_game(kind, n: int) -> PCGame:
-    kind = GameKind(kind)
+    if kind not in _GAME_CLASSES:
+        raise ValidationError(f"unknown game kind {kind!r}")
     return _GAME_CLASSES[kind](n)
 
 
@@ -580,10 +547,11 @@ class AdaptiveAdversary(_Adversary):
 
 
 class GameOracle:
-    """Query interface handed to adaptive adversaries; counts and logs.
+    """The one query interface of a game: answers, counts and logs queries.
 
-    ``sigma`` is a permutation array or a ``LazyPermutation``, as in
-    ``play_game``.
+    Adaptive adversaries drive it directly; ``play_game`` answers a
+    non-adaptive plan through one. ``sigma`` is a permutation array or a
+    ``LazyPermutation``, as in ``play_game``.
     """
 
     def __init__(
@@ -593,6 +561,7 @@ class GameOracle:
         self._sigma = sigma
         self._inv: Optional[np.ndarray] = None
         self._secret = secret
+        self._coefficients = game._coefficients(secret)
         self._budget = t_budget
         self.inner_log: list = []
         self.outer_log: list = []
@@ -619,44 +588,37 @@ class GameOracle:
 
     def inner(self, i: int, inverse: bool = False) -> int:
         self._charge()
-        v = _answer_inner(self._game, self._sigma, self._inv_array() if inverse else None, i, inverse)
+        game = self._game
+        if inverse and not game.allow_inverse_inner:
+            raise ContractViolation(f"{game.kind.value} forbids inverse inner queries")
+        if not (isinstance(i, (int, np.integer)) and 1 <= i <= game.n):
+            raise ValidationError(f"inner query {i!r} out of range [1, {game.n}]")
+        if inverse:
+            if self._inv is None:
+                self._inv = sigma_inverse(self._sigma)
+            v = int(self._inv[i - 1])
+        else:
+            v = int(self._sigma[i - 1])
         self.inner_log.append(v)
         return v
 
-    def _inv_array(self) -> np.ndarray:
-        if self._inv is None:
-            self._inv = sigma_inverse(self._sigma)
-        return self._inv
-
     def outer(self, m) -> int:
         self._charge()
-        self._game.validate_outer_query(m)
-        v = _answer_outer(self._game, self._sigma, self._secret, m)
+        game = self._game
+        game.validate_outer_query(m)
+        element = game.element_from_index(game._translate_index(self._coefficients, m))
+        v = game.post_process(self._secret, int(self._sigma[element - 1]))
         self.outer_log.append(v)
         return v
-
-
-def _answer_inner(game: PCGame, sigma: np.ndarray, inv: Optional[np.ndarray], i: int, inverse: bool) -> int:
-    if not (isinstance(i, (int, np.integer)) and 1 <= i <= game.n):
-        raise ValidationError(f"inner query {i!r} out of range [1, {game.n}]")
-    if inverse:
-        if not game.allow_inverse_inner:
-            raise ContractViolation(f"{game.kind.value} forbids inverse inner queries")
-        return int(inv[i - 1])
-    return int(sigma[i - 1])
-
-
-def _answer_outer(game: PCGame, sigma: np.ndarray, secret, m) -> int:
-    element = game.element_from_index(game.translate_index(secret, m))
-    return game.post_process(secret, int(sigma[element - 1]))
 
 
 def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
     """Run one full game and assemble the transcript.
 
     The preprocessing stage receives the whole permutation; the online
-    stage is driven per the adversary's adaptivity contract. Advice over
-    ``s_bits`` or more than ``t_budget`` queries is a ``ContractViolation``.
+    stage is driven per the adversary's adaptivity contract, and every
+    query is answered by a ``GameOracle``. Advice over ``s_bits`` or
+    more than ``t_budget`` queries is a ``ContractViolation``.
     Success is the comparison of the output with the game's function of the secret.
     ``sigma`` is a permutation array of length n or a ``LazyPermutation``
     of [n]; the lazy one is drawn as the adversary reads it.
@@ -686,21 +648,14 @@ def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
         issued = len(inner_queries) + len(outer_queries)
         if adversary.t_budget is not None and issued > adversary.t_budget:
             raise ContractViolation(f"plan of {issued} queries exceeds the budget {adversary.t_budget}")
-        inv = None
-        inner_answers = []
+        oracle = GameOracle(game, sigma, secret, None)
         for q in inner_queries:
             i, inverse = q if isinstance(q, tuple) else (q, False)
-            if inverse and inv is None:
-                if not game.allow_inverse_inner:
-                    raise ContractViolation(f"{game.kind.value} forbids inverse inner queries")
-                inv = sigma_inverse(sigma)
-            inner_answers.append(_answer_inner(game, sigma, inv, i, inverse))
-        outer_answers = []
+            oracle.inner(i, inverse)
         for m in outer_queries:
-            game.validate_outer_query(m)
-            outer_answers.append(_answer_outer(game, sigma, secret, m))
-        inner_answers = tuple(inner_answers)
-        outer_answers = tuple(outer_answers)
+            oracle.outer(m)
+        inner_answers = tuple(oracle.inner_log)
+        outer_answers = tuple(oracle.outer_log)
         adversary._mark_answered()
         output = adversary.decide(advice, inner_answers, outer_answers)
 
@@ -735,11 +690,12 @@ def measure_uniformity(game: PCGame) -> UniformityResult:
     """
     if game.outer_query_count == 0:
         raise ValidationError("measure_uniformity: empty outer query space")
+    columns = game._secret_columns
     best_fiber = 0
     worst_query = None
     worst_idx = 0
     for m in game.iter_outer_queries():
-        counts = np.bincount(game.translate_index_batch(m), minlength=game.n)
+        counts = np.bincount(game._translate_index(columns, m), minlength=game.n)
         fiber = int(counts.max())
         if fiber > best_fiber:
             best_fiber = fiber

@@ -171,7 +171,10 @@ def resolve_theorem(spec: ExperimentSpec) -> Optional[BoundTheorem]:
     expected = theorem_for_game(spec.kind)
     if spec.theorem in (None, "auto"):
         return expected
-    theorem = BoundTheorem(spec.theorem)
+    try:
+        theorem = BoundTheorem(spec.theorem)
+    except ValueError:
+        raise ValidationError(f"unknown theorem {spec.theorem!r}") from None
     if theorem != expected:
         raise ValidationError(
             f"theorem {theorem.value} does not apply to game {spec.game!r}; expected {expected.value}"

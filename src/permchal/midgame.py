@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .games import GameTranscript, PCGame, _sample_outside
+from .games import GameOracle, GameTranscript, PCGame, _sample_outside
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,8 @@ def play_mid_game(
     """
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     sigma = sample_constrained_permutation(game.n, constraints, rng)
-    answers = []
-    for m in outer_queries:
-        game.validate_outer_query(m)
-        element = game.element_from_index(game.translate_index(secret, m))
-        answers.append(game.post_process(secret, int(sigma[element - 1])))
-    answers = tuple(answers)
+    oracle = GameOracle(game, sigma, secret, None)
+    answers = tuple(oracle.outer(m) for m in outer_queries)
     output = decide(answers)
     return GameTranscript(
         sigma=sigma,
@@ -136,7 +132,7 @@ def mid_simulation_oracle(
     responses = []
     for m in outer_queries:
         game.validate_outer_query(m)
-        u = game.element_from_index(game.translate_index(secret, m))
+        u = game.translate(secret, m)
         if u in pin:
             v = pin[u]
             w1 = 1

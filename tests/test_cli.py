@@ -59,6 +59,15 @@ class TestGameCommand:
         assert code == 2
         assert "prime" in err
 
+    def test_unknown_theorem_exit_code(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "game", "--game", "dlog", "--attack", "bsgs",
+            "--n", "11", "--t", "3", "--trials", "2", "--theorem", "bogus",
+        )
+        assert code == 2
+        assert "unknown theorem 'bogus'" in err
+
     def test_assert_mode_flags_vacuous_bound_violation(self, capsys):
         # at t=0 the plugged-in no-advice ceiling is 0, below the guess rate
         code, _, err = run_cli(

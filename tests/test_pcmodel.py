@@ -9,6 +9,7 @@ from permchal.bounds import evaluate_bound
 from permchal.errors import ContractViolation, ValidationError
 from permchal.games import (
     GameKind,
+    GameOracle,
     LazyPermutation,
     NonAdaptiveAdversary,
     build_game,
@@ -81,6 +82,11 @@ class TestBuildGame:
             build_game("EM_KR", 12)
         build_game("EM_KR_SINGLE", 16)
 
+    @pytest.mark.parametrize("kind", ["dlog", "BOGUS", None])
+    def test_unknown_kind_is_validation_error(self, kind):
+        with pytest.raises(ValidationError, match="unknown game kind"):
+            build_game(kind, 5)
+
 
 class TestMeasureUniformity:
     @pytest.mark.parametrize("n", PRIMES)
@@ -110,15 +116,12 @@ class TestMeasureUniformity:
         "kind,n", [("DLOG", 7), ("DDH", 3), ("SQDDH", 5), ("EM_KR", 8), ("EM_KR_SINGLE", 8)]
     )
     def test_batched_translation_matches_scalar(self, kind, n):
+        # the one kernel over all secret columns against the scalar path, every (secret, query)
         g = build_game(kind, n)
-        rng = np.random.Generator(np.random.PCG64(7))
         secrets = list(g.iter_secrets())
-        queries = list(g.iter_outer_queries())
-        for _ in range(10):
-            m = queries[int(rng.integers(len(queries)))]
-            batch = g.translate_index_batch(m)
-            scalar = [g.translate_index(d, m) for d in secrets]
-            assert batch.tolist() == scalar
+        for m in g.iter_outer_queries():
+            batch = g._translate_index(g._secret_columns, m)
+            assert batch.tolist() == [g.translate_index(d, m) for d in secrets]
 
 
 class TestPlayGame:
@@ -143,16 +146,7 @@ class TestPlayGame:
         for _ in range(trials):
             sigma = random_sigma(rng, n)
             secret = g.sample_secret(rng)
-            queries = []
-            for _ in range(3):
-                while True:
-                    try:
-                        m = _random_outer_query(rng, g)
-                        g.validate_outer_query(m)
-                        break
-                    except ValidationError:
-                        continue
-                queries.append(m)
+            queries = [_random_outer_query(rng, g) for _ in range(3)]
             adv = _FixedQueryAdversary(outer=queries)
             tr = play_game(g, adv, sigma, secret)
             for m, ans in zip(queries, tr.outer_answers):
@@ -204,6 +198,15 @@ class TestPlayGame:
         sigma = random_sigma(np.random.Generator(np.random.PCG64(1)), 8)
         tr = play_game(em, _FixedQueryAdversary(inner=[(int(sigma[4]), True)], output=(1, 1)), sigma, (1, 1))
         assert tr.inner_answers == (5,)
+
+    @pytest.mark.parametrize("query", [(2, True), (9, True)])
+    def test_forbidden_inverse_query_is_refused_before_its_range_by_both_contracts(self, query):
+        dlog = build_game("DLOG", 5)
+        sigma = np.arange(1, 6)
+        with pytest.raises(ContractViolation, match="inverse"):
+            play_game(dlog, _FixedQueryAdversary(inner=[query]), sigma, 1)
+        with pytest.raises(ContractViolation, match="inverse"):
+            GameOracle(dlog, sigma, 1, None).inner(*query)
 
     def test_query_out_of_range(self):
         g = build_game("DLOG", 5)
@@ -273,14 +276,22 @@ class TestLazyPermutation:
 
 
 def _random_outer_query(rng, game):
+    """A uniform valid outer query, by rejection."""
     n = game.n
-    if game.kind == GameKind.DLOG:
-        return (int(rng.integers(1, n)), int(rng.integers(1, n + 1)))
-    if game.kind == GameKind.DDH:
-        return tuple(int(v) for v in rng.integers(1, n + 1, size=4))
-    if game.kind == GameKind.SQDDH:
-        return tuple(int(v) for v in rng.integers(1, n + 1, size=3))
-    return int(rng.integers(1, n + 1))
+    while True:
+        if game.kind == GameKind.DLOG:
+            m = (int(rng.integers(1, n)), int(rng.integers(1, n + 1)))
+        elif game.kind == GameKind.DDH:
+            m = tuple(int(v) for v in rng.integers(1, n + 1, size=4))
+        elif game.kind == GameKind.SQDDH:
+            m = tuple(int(v) for v in rng.integers(1, n + 1, size=3))
+        else:
+            m = int(rng.integers(1, n + 1))
+        try:
+            game.validate_outer_query(m)
+            return m
+        except ValidationError:
+            continue
 
 
 class TestMidGame:
@@ -336,6 +347,39 @@ class TestMidGame:
 
 
 class TestMidSimulationOracle:
+    @pytest.mark.parametrize(
+        "kind,n",
+        [("DLOG", 11), ("DDH", 5), ("SQDDH", 7), ("EM_KR", 8), ("EM_KR_SINGLE", 16)],
+    )
+    def test_both_oracles_follow_the_translation(self, kind, n):
+        # the hybrid game answers sigma at the translated point, post-processed;
+        # the simulation raises W1 exactly when a translated point is pinned
+        g = build_game(kind, n)
+        runs = 300
+        flagged = 0
+        for i in range(runs):
+            rng = trial_generator(81, i)
+            ins = [int(x) + 1 for x in rng.choice(n, size=3, replace=False)]
+            outs = [int(x) + 1 for x in rng.choice(n, size=3, replace=False)]
+            queries = [_random_outer_query(rng, g) for _ in range(4)]
+            secret = g.sample_secret(rng)
+            constraints = MidConstraints(ins, outs)
+            pin = dict(zip(ins, outs))
+            points = [g.translate(secret, m) for m in queries]
+
+            tr = play_mid_game(g, constraints, queries, lambda a: 1, secret, derive_trial_seed(82, i))
+            assert tr.outer_answers == tuple(
+                g.post_process(secret, int(tr.sigma[u - 1])) for u in points
+            )
+
+            run = mid_simulation_oracle(g, constraints, queries, secret, derive_trial_seed(83, i))
+            assert run.w1 == int(any(u in pin for u in points))
+            for u, response in zip(points, run.responses):
+                if u in pin:
+                    assert response == g.post_process(secret, pin[u])
+            flagged += run.w1
+        assert 0 < flagged < runs
+
     def test_empty_constraints_never_flag(self):
         g = build_game("DLOG", 11)
         for i in range(200):
