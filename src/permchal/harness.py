@@ -26,6 +26,7 @@ from .errors import ValidationError
 from .games import GameKind, build_game, play_game, random_sigma
 from .seeding import derive_trial_seed, trial_generator
 from .shearer import (
+    RATIO_SEARCH_MAX_N,
     CoverFamily,
     bijection_shearer_gap,
     extremal_ratio_search,
@@ -342,8 +343,8 @@ def verify_inequalities(n: int, random_trials: int, seed: int) -> InequalitySumm
     inequality; also runs the extremal ratio search on singleton covers.
     trials = 0 yields an empty summary.
     """
-    if n < 2:
-        raise ValidationError("verify_inequalities: need n >= 2")
+    if not 2 <= n <= RATIO_SEARCH_MAX_N:
+        raise ValidationError(f"verify_inequalities: need 2 <= n <= {RATIO_SEARCH_MAX_N}")
     if random_trials < 0:
         raise ValidationError("verify_inequalities: negative trial count")
     if random_trials == 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,18 +30,19 @@ MASS_TOL = 1e-12
 INFINITE = math.inf
 
 
-def _as_mass_array(mass: Sequence[float], what: str) -> np.ndarray:
-    arr = np.asarray(mass, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"{what}: mass must be one-dimensional")
-    if arr.size == 0:
-        raise ValidationError(f"{what}: empty support")
+def _as_mass_array(mass, what: str, shape: tuple) -> np.ndarray:
+    """Frozen float copy of ``mass``: of ``shape``, non-negative, summing to 1.
+
+    The sum test is written so that a NaN total fails it.
+    """
+    arr = np.array(mass, dtype=float)
+    if arr.shape != shape:
+        raise ValidationError(f"{what}: mass has shape {arr.shape}, expected {shape}")
     if np.any(arr < 0):
         raise ValidationError(f"{what}: negative mass")
     total = float(arr.sum())
-    if abs(total - 1.0) > MASS_TOL:
+    if not abs(total - 1.0) <= MASS_TOL:
         raise ValidationError(f"{what}: masses sum to {total!r}, not 1")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -57,9 +58,7 @@ class FiniteDistribution:
         support = tuple(self.support)
         if len(set(support)) != len(support):
             raise ValidationError("FiniteDistribution: support labels must be distinct")
-        arr = _as_mass_array(self.mass, "FiniteDistribution")
-        if arr.size != len(support):
-            raise ValidationError("FiniteDistribution: support/mass length mismatch")
+        arr = _as_mass_array(self.mass, "FiniteDistribution", (len(support),))
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "mass", arr)
 
@@ -106,16 +105,7 @@ class JointDistribution:
         for ax, sup in zip(axes, supports):
             if len(set(sup)) != len(sup) or not sup:
                 raise ValidationError(f"JointDistribution: axis {ax!r} support invalid")
-        table = np.asarray(self.table, dtype=float)
-        if table.shape != tuple(len(s) for s in supports):
-            raise ValidationError("JointDistribution: table shape mismatch")
-        if np.any(table < 0):
-            raise ValidationError("JointDistribution: negative mass")
-        total = float(table.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValidationError(f"JointDistribution: masses sum to {total!r}, not 1")
-        table = table.copy()
-        table.setflags(write=False)
+        table = _as_mass_array(self.table, "JointDistribution", tuple(len(s) for s in supports))
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "supports", supports)
         object.__setattr__(self, "table", table)

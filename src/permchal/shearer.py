@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .infotheory import (
     FiniteDistribution,
     JointDistribution,
     MASS_TOL,
+    _as_mass_array,
     kl_bernoulli,
 )
 from .permutations import check_enum_size, permutation_matrix, permutation_rank
@@ -62,15 +63,7 @@ class BijectionDistribution:
         codomain = tuple(self.codomain)
         if len(codomain) != self.n or len(set(codomain)) != self.n:
             raise ValidationError("BijectionDistribution: codomain must have n distinct labels")
-        arr = np.asarray(self.mass, dtype=float)
-        if arr.shape != (math.factorial(self.n),):
-            raise ValidationError("BijectionDistribution: mass must have length n!")
-        if np.any(arr < 0):
-            raise ValidationError("BijectionDistribution: negative mass")
-        if abs(float(arr.sum()) - 1.0) > MASS_TOL:
-            raise ValidationError("BijectionDistribution: masses must sum to 1")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        arr = _as_mass_array(self.mass, "BijectionDistribution", (math.factorial(self.n),))
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "mass", arr)
 
@@ -122,33 +115,39 @@ class CoverFamily:
 class ReadKFunction:
     """One member of a read-k family: depends only on ``dependencies``.
 
-    ``table`` maps each injective assignment (tuple of codomain labels in
-    ascending coordinate order) to a value in [0, 1]; missing entries
-    default to 0. Values off the bijections are never queried.
+    ``values[i]`` in [0, 1] is the value on the i-th injective assignment
+    of the sorted dependencies, that is on
+    ``marginal_distribution(p, dependencies).support[i]`` (``_projection``
+    bin order). Values off the bijections are never queried.
     """
 
     dependencies: frozenset
-    table: Mapping
+    values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "dependencies", frozenset(self.dependencies))
-        for v in self.table.values():
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError("ReadKFunction: table values must lie in [0, 1]")
+        try:
+            values = np.array(self.values, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError("ReadKFunction: values must be numbers") from None
+        if values.ndim != 1:
+            raise ValidationError("ReadKFunction: values must be one-dimensional")
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise ValidationError("ReadKFunction: values must lie in [0, 1]")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)
 class ReadKFamily:
+    """Read-k functions on bijections [n] -> X; each holds perm(n, |deps|) values."""
+
     n: int
-    codomain: tuple
     functions: tuple
     k: int = field(default=-1)
 
     def __post_init__(self):
         check_enum_size(self.n, "ReadKFamily")
-        codomain = tuple(self.codomain)
-        if len(codomain) != self.n or len(set(codomain)) != self.n:
-            raise ValidationError("ReadKFamily: codomain must have n distinct labels")
         functions = tuple(self.functions)
         cover = CoverFamily(self.n, tuple(f.dependencies for f in functions))
         if self.k == -1:
@@ -157,12 +156,10 @@ class ReadKFamily:
             raise ValidationError(
                 f"ReadKFamily: declared k={self.k} but dependency multiplicity is {cover.k}"
             )
-        vectors = tuple(
-            _table_vector(self.n, codomain, f.dependencies, f.table) for f in functions
-        )
-        object.__setattr__(self, "codomain", codomain)
+        for f in functions:
+            if f.values.size != math.perm(self.n, len(f.dependencies)):
+                raise ValidationError("ReadKFamily: a function needs perm(n, |dependencies|) values")
         object.__setattr__(self, "functions", functions)
-        object.__setattr__(self, "_vectors", vectors)
 
 
 @lru_cache(maxsize=None)
@@ -190,20 +187,14 @@ def _injective_labels(n: int, codomain: tuple, coords: tuple) -> list:
     ]
 
 
-def _table_vector(n: int, codomain: tuple, dependencies: frozenset, table: Mapping) -> np.ndarray:
-    coords = tuple(sorted(dependencies))
-    labels = _injective_labels(n, codomain, coords)
-    return np.array([float(table.get(lbl, 0.0)) for lbl in labels])
-
-
 def _kl_vs_uniform(mass: np.ndarray, count: int) -> float:
     pos = mass[mass > 0]
     return float((pos * np.log(pos * count)).sum()) if pos.size else 0.0
 
 
-def _marginal_mass(p: BijectionDistribution, coords: tuple) -> tuple:
+def _marginal_mass(p: BijectionDistribution, coords: tuple) -> np.ndarray:
     inverse, count = _projection(p.n, coords)
-    return np.bincount(inverse, weights=p.mass, minlength=count), count
+    return np.bincount(inverse, weights=p.mass, minlength=count)
 
 
 def marginal_distribution(p: BijectionDistribution, u: Iterable) -> FiniteDistribution:
@@ -218,32 +209,30 @@ def marginal_distribution(p: BijectionDistribution, u: Iterable) -> FiniteDistri
         raise ValidationError("marginal_distribution: coordinate out of range(n)")
     if not coords:
         return FiniteDistribution(((),), np.array([1.0]))
-    mass, count = _marginal_mass(p, coords)
+    mass = _marginal_mass(p, coords)
     labels = _injective_labels(p.n, p.codomain, coords)
     # Aggregated masses of a valid distribution stay normalized.
     return FiniteDistribution(tuple(labels), mass)
 
 
-def _full_kl(p: BijectionDistribution) -> float:
-    return _kl_vs_uniform(p.mass, math.factorial(p.n))
+def _cover_projections(cover: CoverFamily) -> list:
+    return [_projection(cover.n, tuple(sorted(s))) for s in cover.sets if s]
 
 
-def _marginal_kl_sum(p: BijectionDistribution, cover: CoverFamily) -> float:
-    total = 0.0
-    for s in cover.sets:
-        coords = tuple(sorted(s))
-        if not coords:
-            continue
-        mass, count = _marginal_mass(p, coords)
-        total += _kl_vs_uniform(mass, count)
-    return total
+def _marginal_kl_sum(mass: np.ndarray, projections: list) -> float:
+    """sum_j KL(marginal_j || uniform) of a rank-order mass vector."""
+    return sum(
+        (_kl_vs_uniform(np.bincount(inverse, weights=mass, minlength=count), count)
+         for inverse, count in projections),
+        0.0,
+    )
 
 
 def bijection_shearer_terms(p: BijectionDistribution, cover: CoverFamily) -> tuple:
     """(KL(P||Q), sum_j KL(P_Uj||Q_Uj)) with Q uniform over bijections."""
     if cover.n != p.n:
         raise ValidationError("cover and distribution sizes differ")
-    return _full_kl(p), _marginal_kl_sum(p, cover)
+    return _kl_vs_uniform(p.mass, p.mass.size), _marginal_kl_sum(p.mass, _cover_projections(cover))
 
 
 def bijection_shearer_gap(p: BijectionDistribution, cover: CoverFamily, c: float) -> float:
@@ -284,26 +273,26 @@ def read_k_concentration_gap(p: BijectionDistribution, fam: ReadKFamily) -> floa
     Bernoulli divergence between them is what the family concentration
     bound controls.
     """
-    if fam.n != p.n or fam.codomain != p.codomain:
-        raise ValidationError("read_k_concentration_gap: family and distribution disagree")
+    if fam.n != p.n:
+        raise ValidationError("read_k_concentration_gap: family and distribution sizes differ")
     m = len(fam.functions)
     if m == 0:
         raise ValidationError("read_k_concentration_gap: empty family")
     p_sum = 0.0
     q_sum = 0.0
-    for f, vec in zip(fam.functions, fam._vectors):
+    for f in fam.functions:
         coords = tuple(sorted(f.dependencies))
         if coords:
-            mass, count = _marginal_mass(p, coords)
-            p_sum += float(mass @ vec)
-            q_sum += float(vec.mean())
+            mass = _marginal_mass(p, coords)
+            p_sum += float(mass @ f.values)
+            q_sum += float(f.values.mean())
         else:
-            v = float(vec[0]) if vec.size else 0.0
+            v = float(f.values[0])
             p_sum += v
             q_sum += v
     p_bar = min(1.0, max(0.0, p_sum / m))
     q_bar = min(1.0, max(0.0, q_sum / m))
-    return 2.0 * fam.k * _full_kl(p) - m * kl_bernoulli(p_bar, q_bar)
+    return 2.0 * fam.k * _kl_vs_uniform(p.mass, p.mass.size) - m * kl_bernoulli(p_bar, q_bar)
 
 
 def indicator_support(n: int) -> tuple:
@@ -394,19 +383,13 @@ def extremal_ratio_search(
         raise ValidationError("extremal_ratio_search: cover size mismatch")
     rng = np.random.Generator(np.random.PCG64(seed))
     f = math.factorial(n)
-    coords_list = [tuple(sorted(s)) for s in cover.sets if s]
-    projections = [_projection(n, c) for c in coords_list]
+    projections = _cover_projections(cover)
 
     def ratio_of(mass: np.ndarray) -> float:
-        pos = mass[mass > 0]
-        kl_full = float((pos * np.log(pos * f)).sum())
+        kl_full = _kl_vs_uniform(mass, f)
         if cover.k == 0 or kl_full <= 1e-15:
             return 0.0
-        total = 0.0
-        for inverse, count in projections:
-            marg = np.bincount(inverse, weights=mass, minlength=count)
-            total += _kl_vs_uniform(marg, count)
-        return total / (cover.k * kl_full)
+        return _marginal_kl_sum(mass, projections) / (cover.k * kl_full)
 
     best_ratio = 0.0
     best_mass = np.full(f, 1.0 / f)
@@ -463,14 +446,10 @@ def random_cover(rng: np.random.Generator, n: int, max_sets: int = 6) -> CoverFa
 def random_read_k_family(
     rng: np.random.Generator, n: int, max_functions: int = 4
 ) -> ReadKFamily:
-    codomain = tuple(range(n))
     m = int(rng.integers(1, max_functions + 1))
     functions = []
     for _ in range(m):
         mask = rng.random(n) < 0.5
         dep = frozenset(int(i) for i in np.nonzero(mask)[0])
-        coords = tuple(sorted(dep))
-        labels = _injective_labels(n, codomain, coords)
-        values = rng.random(len(labels))
-        functions.append(ReadKFunction(dep, dict(zip(labels, values))))
-    return ReadKFamily(n, codomain, tuple(functions))
+        functions.append(ReadKFunction(dep, rng.random(math.perm(n, len(dep)))))
+    return ReadKFamily(n, tuple(functions))

@@ -182,6 +182,11 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["min_bijection_gap_c2"] >= -1e-9
 
+    def test_shearer_above_the_ratio_search_cap_exit_code(self, capsys):
+        code, _, err = run_cli(capsys, "shearer", "--n", "7", "--trials", "100")
+        assert code == 2
+        assert "verify_inequalities" in err
+
     def test_mi(self, capsys):
         code, out, _ = run_cli(
             capsys,

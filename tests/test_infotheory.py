@@ -16,6 +16,7 @@ from permchal.infotheory import (
     kl_divergence,
     mutual_information,
 )
+from permchal.shearer import BijectionDistribution
 
 LN2 = math.log(2.0)
 
@@ -40,6 +41,19 @@ class TestFiniteDistribution:
         d = FiniteDistribution.uniform((0, 1))
         with pytest.raises(ValueError):
             d.mass[0] = 0.3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda mass: FiniteDistribution(("a", "b"), mass), id="finite"),
+        pytest.param(lambda mass: JointDistribution(("x",), (("a", "b"),), mass), id="joint"),
+        pytest.param(lambda mass: BijectionDistribution(2, (0, 1), mass), id="bijection"),
+    ],
+)
+def test_nan_mass_rejected(build):
+    with pytest.raises(ValidationError):
+        build([math.nan, 1.0])
 
 
 class TestEntropy:

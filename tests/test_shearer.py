@@ -189,18 +189,17 @@ class TestReadKConcentrationGap:
 
     def test_single_indicator_worked_example(self):
         p = BijectionDistribution.point_mass((0, 1))
-        fam = ReadKFamily(
-            2, (0, 1), (ReadKFunction(frozenset([0]), {(0,): 1.0, (1,): 0.0}),)
-        )
+        # f = 1 when X_0 is the first label of marginal_distribution(p, [0]).support
+        fam = ReadKFamily(2, (ReadKFunction(frozenset([0]), [1.0, 0.0]),))
         assert read_k_concentration_gap(p, fam) == pytest.approx(LN2, abs=1e-12)
 
     def test_diagonal_indicators_nonnegative(self):
         n = 4
         fams = []
         for j in range(n):
-            table = {lbl: 1.0 if lbl[0] == j else 0.0 for lbl in [(v,) for v in range(n)]}
-            fams.append(ReadKFunction(frozenset([j]), table))
-        fam = ReadKFamily(n, tuple(range(n)), tuple(fams))
+            values = [1.0 if v == j else 0.0 for v in range(n)]
+            fams.append(ReadKFunction(frozenset([j]), values))
+        fam = ReadKFamily(n, tuple(fams))
         assert fam.k == 1
         rng = np.random.Generator(np.random.PCG64(6))
         for _ in range(1000):
@@ -215,9 +214,31 @@ class TestReadKConcentrationGap:
             fam = random_read_k_family(rng, n)
             assert read_k_concentration_gap(p, fam) >= -GAP_TOL
 
-    def test_table_values_validated(self):
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([0.5] * 5, id="wrong-length"),
+            pytest.param([[0.5] * 6], id="two-dimensional"),
+            pytest.param([0.5] * 5 + [math.nan], id="nan"),
+            pytest.param([0.5] * 5 + [1.5], id="above-one"),
+            pytest.param([0.5] * 5 + [-0.1], id="negative"),
+            pytest.param({(0,): 1.0, (5, 9): 1.0}, id="dict"),
+            pytest.param(["a"] * 6, id="strings"),
+            pytest.param([[0.5], [0.5, 0.5]], id="ragged"),
+        ],
+    )
+    def test_bad_values_are_validation_errors(self, values):
+        # dependencies {0, 1} at n = 3 need perm(3, 2) = 6 values
         with pytest.raises(ValidationError):
-            ReadKFunction(frozenset([0]), {(0,): 1.5})
+            ReadKFamily(3, (ReadKFunction(frozenset([0, 1]), values),))
+
+    def test_gap_ignores_codomain_labels(self):
+        rng = np.random.Generator(np.random.PCG64(11))
+        for _ in range(20):
+            p = random_bijection_distribution(rng, 3)
+            fam = random_read_k_family(rng, 3)
+            relabelled = BijectionDistribution(3, ("a", "b", "c"), p.mass)
+            assert read_k_concentration_gap(relabelled, fam) == read_k_concentration_gap(p, fam)
 
 
 class TestIndicatorShearerGap:
@@ -354,10 +375,10 @@ class TestBruteForceCrossChecks:
             p_sum = q_sum = 0.0
             for f in fam.functions:
                 coords = tuple(sorted(f.dependencies))
+                table = dict(zip(marginal_distribution(p, coords).support, f.values))
                 ep = eq = 0.0
                 for perm, mass in zip(perms, p.mass):
-                    key = tuple(fam.codomain[perm[c]] for c in coords)
-                    val = float(f.table.get(key, 0.0))
+                    val = float(table[tuple(p.codomain[perm[c]] for c in coords)])
                     ep += mass * val
                     eq += val / len(perms)
                 p_sum += ep
