@@ -40,7 +40,7 @@ from .games import (
     is_prime,
     random_sigma,
 )
-from .seeding import mix64, mix64_array, splitmix64
+from .seeding import mix64, mix64_array, splitmix64, splitmix64_array
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,13 @@ def bits_encode(value: int, width: int) -> str:
     if not (0 <= value < (1 << width)):
         raise ValidationError(f"value {value} does not fit in {width} bits")
     return format(value, f"0{width}b")
+
+
+def bits_encode_array(values: np.ndarray, width: int) -> str:
+    """``bits_encode`` of every entry of a non-negative integer array, each
+    below 2**width, concatenated in C order."""
+    bits = (values[..., None] >> np.arange(width - 1, -1, -1)) & 1
+    return (bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def bits_decode(bits: str) -> int:
@@ -300,6 +307,8 @@ class ChainPreprocessingDlog(Attack, AdaptiveAdversary):
         self.length = length
         self.width = max(1, (cfg.n - 1).bit_length())
         self.walk_key = mix64(0xC4A1, cfg.seed)
+        starts = [mix64(self.walk_key, 0x5747, c) % cfg.n for c in range(chains)]
+        self._start_slots = (np.array(starts, dtype=np.int64) - 1) % cfg.n
         required = chains * 2 * self.width
         s_bits = cfg.s_bits if cfg.s_bits is not None else required
         if required > s_bits:
@@ -312,24 +321,29 @@ class ChainPreprocessingDlog(Attack, AdaptiveAdversary):
         return 1 + mix64(self.walk_key, encoding) % (self.n - 1)
 
     def preprocess(self, sigma: np.ndarray) -> str:
-        out = []
-        visited = set()
-        merged = 0
-        for c in range(self.chains):
-            x = mix64(self.walk_key, 0x5747, c) % self.n
-            path = [x]
-            for _ in range(self.length):
-                x = (x + self._step_size(int(sigma[_slot(x, self.n)]))) % self.n
-                path.append(x)
-            merged += not visited.isdisjoint(path)
-            visited.update(path)
-            end_enc = int(sigma[_slot(x, self.n)])
-            out.append(bits_encode(end_enc - 1, self.width) + bits_encode(x, self.width))
+        # every chain advances one step per iteration on one batched sigma
+        # read; the step is _step_size, as mix64(walk_key, e) = splitmix64(K ^ e).
+        # The walk tracks slots, slot = exponent - 1 mod n.
+        n, modulus = self.n, np.uint64(self.n - 1)
+        key = np.uint64(splitmix64(self.walk_key))
+        path = np.empty((self.chains, self.length + 1), dtype=np.int64)
+        path[:, 0] = slot = self._start_slots
+        with np.errstate(over="ignore"):
+            for i in range(1, self.length + 1):
+                enc = sigma.take(slot).view(np.uint64)
+                slot = (slot + 1 + (splitmix64_array(key ^ enc) % modulus).astype(np.int64)) % n
+                path[:, i] = slot
         # chains that reach an exponent an earlier chain visited, at any
-        # offset, follow its walk from there and shrink coverage;
-        # reported for diagnostics, not fatal
-        self.last_endpoint_collisions = merged
-        return "".join(out)
+        # offset, follow its walk from there and shrink coverage; reported
+        # for diagnostics, not fatal. Sorted by (slot, chain), the visits of
+        # one slot come chain by chain, so a chain is merged where its visit
+        # follows another chain's visit of the same slot.
+        visits = np.sort((path * self.chains + np.arange(self.chains)[:, None]).ravel())
+        visited, chain = np.divmod(visits, self.chains)
+        follows = (visited[1:] == visited[:-1]) & (chain[1:] != chain[:-1])
+        self.last_endpoint_collisions = len(np.unique(chain[1:][follows]))
+        endpoints = np.stack([sigma.take(slot) - 1, (slot + 1) % n], axis=1)
+        return bits_encode_array(endpoints, self.width)
 
     def run(self, z: str, oracle):
         n, w = self.n, self.width
@@ -494,6 +508,8 @@ class SqddhMajorityAdversary(Attack, NonAdaptiveAdversary):
         self.key_walk = mix64(0x53, cfg.seed)
         self.key_guess = mix64(0x54, cfg.seed)
         n = cfg.n
+        x = np.arange(n, dtype=np.int64)
+        self._pair_slots = (x - 1) % n, (x * x % n - 1) % n  # slots of (x, x^2)
         self.queries = []
         for i in range(self.t // 2):
             f = 1 if i == 0 else 1 + mix64(self.key_walk, i) % (n - 1)
@@ -506,20 +522,14 @@ class SqddhMajorityAdversary(Attack, NonAdaptiveAdversary):
         )
 
     def preprocess(self, sigma: np.ndarray) -> str:
-        n = self.n
-        x = np.arange(n, dtype=np.int64)
-        x2 = (x * x) % n
-        w1 = sigma[(x - 1) % n]
-        w2 = sigma[(x2 - 1) % n]
-        code = self._pair_code(w1, w2)
+        code = self._pair_code(*(sigma.take(slots) for slots in self._pair_slots))
         marked = mix64_array(self.key_mark, code) % np.uint64(self.t) == 0
         code_m = code[marked]
         bucket = (mix64_array(self.key_bucket, code_m) % np.uint64(self.buckets)).astype(np.int64)
         qbit = (mix64_array(self.key_bit, code_m) & np.uint64(1)).astype(np.float64)
         ones = np.bincount(bucket, weights=qbit, minlength=self.buckets)
         counts = np.bincount(bucket, minlength=self.buckets)
-        maj = (2 * ones >= counts).astype(np.int64)  # ties and empty cells read 1
-        return "".join("1" if b else "0" for b in maj)
+        return bits_encode_array(2 * ones >= counts, 1)  # ties and empty cells read 1
 
     def _plan(self, z: str):
         return [], list(self.queries)

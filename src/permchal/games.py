@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -101,6 +101,13 @@ class LazyPermutation:
     is out of reach exact, provided the adversary reads few points.
     ``inverse`` is the same permutation read the other way round; it
     shares the state, so both directions stay consistent.
+
+    ``take(slots)`` is the batch read, with the signature of
+    ``np.ndarray.take``: it maps a one-dimensional integer slot array to
+    the int64 array of images, with the law of the scalar reads made one
+    after another in the same order. Each slot not read before takes a
+    value uniform over the values not yet used, and a slot repeated
+    within the batch reads one value.
     """
 
     def __init__(self, n: int, rng: np.random.Generator):
@@ -125,6 +132,32 @@ class LazyPermutation:
             self._preimage[v] = x
         return v
 
+    def take(self, slots) -> np.ndarray:
+        slots = np.asarray(slots)
+        if slots.ndim != 1 or slots.dtype.kind not in "iu":
+            raise ValidationError("take: slots must be a one-dimensional integer array")
+        if slots.size and not (0 <= slots.min() and slots.max() < self.n):
+            raise ValidationError(f"take: slot out of range [0, {self.n})")
+        image, preimage = self._image, self._preimage
+        elements = (slots.astype(np.int64) + 1).tolist()
+        pending = list(set(elements).difference(image))
+        # Each round gives every pending element a uniform candidate and
+        # keeps it if no value taken so far equals it. The rounds commute
+        # with every relabelling of the unused values, and those act
+        # transitively on the one-to-one assignments of pending elements to
+        # unused values, so the assignment is uniform among them: the law
+        # of scalar reads one after another.
+        while pending:
+            candidates = self._rng.integers(1, self.n + 1, size=len(pending)).tolist()
+            redraw = []
+            for x, v in zip(pending, candidates):
+                if v in preimage:
+                    redraw.append(x)
+                else:
+                    image[x], preimage[v] = v, x
+            pending = redraw
+        return np.fromiter(map(image.__getitem__, elements), np.int64, len(elements))
+
     @property
     def inverse(self) -> "LazyPermutation":
         inv = LazyPermutation(self.n, self._rng)
@@ -140,8 +173,7 @@ def sigma_inverse(sigma: np.ndarray | LazyPermutation) -> np.ndarray | LazyPermu
     return inv
 
 
-@dataclass(frozen=True)
-class GameTranscript:
+class GameTranscript(NamedTuple):
     sigma: np.ndarray | LazyPermutation
     secret: object
     advice: str

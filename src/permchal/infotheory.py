@@ -30,12 +30,20 @@ MASS_TOL = 1e-12
 INFINITE = math.inf
 
 
+def _as_float_array(values, what: str) -> np.ndarray:
+    """A float copy of ``values``; non-numeric or ragged input is a ValidationError."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what}: values must be numbers in a regular array") from None
+
+
 def _as_mass_array(mass, what: str, shape: tuple) -> np.ndarray:
     """Frozen float copy of ``mass``: of ``shape``, non-negative, summing to 1.
 
     The sum test is written so that a NaN total fails it.
     """
-    arr = np.array(mass, dtype=float)
+    arr = _as_float_array(mass, what)
     if arr.shape != shape:
         raise ValidationError(f"{what}: mass has shape {arr.shape}, expected {shape}")
     if np.any(arr < 0):

@@ -125,7 +125,6 @@ def mid_simulation_oracle(
     pin = {i: o for i, o in zip(constraints.inputs, constraints.outputs)}
     pinned_out = set(constraints.outputs)
     value_of: dict = {}
-    used: list = []
     used_set: set = set()
     w1 = 0
     w2 = 0
@@ -144,7 +143,6 @@ def mid_simulation_oracle(
                 w2 = 1
                 v = _sample_outside(game.n, pinned_out | used_set, rng)
             value_of[u] = v
-            used.append(v)
             used_set.add(v)
         responses.append(game.post_process(secret, v))
     return SimulationRun(tuple(responses), w1, w2)

@@ -50,16 +50,21 @@ def mix64(key: int, *values: int) -> int:
 
 def mix64_array(key: int, *columns: np.ndarray) -> np.ndarray:
     """Keyed avalanche applied elementwise to aligned uint64 columns."""
-    acc = np.full(columns[0].shape, splitmix64(key & _MASK64), dtype=np.uint64)
+    acc = np.uint64(splitmix64(key & _MASK64))
     with np.errstate(over="ignore"):
         for col in columns:
-            acc = _splitmix64_array(acc ^ col.astype(np.uint64))
+            acc = splitmix64_array(acc ^ col.astype(np.uint64, copy=False))
     return acc
 
 
-def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = x + np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+_SPLITMIX_U64 = tuple(map(np.uint64, (_GOLDEN, 30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)))
+
+
+def splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """``splitmix64`` elementwise on a uint64 array; callers that pass numpy
+    scalars silence overflow warnings with ``np.errstate(over="ignore")``."""
+    golden, s1, m1, s2, m2, s3 = _SPLITMIX_U64
+    z = x + golden
+    z = (z ^ (z >> s1)) * m1
+    z = (z ^ (z >> s2)) * m2
+    return z ^ (z >> s3)

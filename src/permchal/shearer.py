@@ -37,6 +37,7 @@ from .infotheory import (
     FiniteDistribution,
     JointDistribution,
     MASS_TOL,
+    _as_float_array,
     _as_mass_array,
     kl_bernoulli,
 )
@@ -126,10 +127,7 @@ class ReadKFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "dependencies", frozenset(self.dependencies))
-        try:
-            values = np.array(self.values, dtype=float)
-        except (TypeError, ValueError):
-            raise ValidationError("ReadKFunction: values must be numbers") from None
+        values = _as_float_array(self.values, "ReadKFunction")
         if values.ndim != 1:
             raise ValidationError("ReadKFunction: values must be one-dimensional")
         if not np.all((values >= 0.0) & (values <= 1.0)):

@@ -313,18 +313,19 @@ def test_criterion_09_sqddh_advantage_sweep():
         game = build_game("SQDDH", n)
         trials = 100_000
         cells = (8, 32, 128)
-        outcomes = {}
-        for buckets in cells:
-            adv = sqddh_nonadaptive_adversary(
+        adversaries = {
+            buckets: sqddh_nonadaptive_adversary(
                 AttackConfig(n=n, t_budget=t, buckets=buckets, seed=900)
             )
-            wins = np.zeros(trials, dtype=np.int8)
-            for i in range(trials):
-                rng = trial_generator(901, i)  # shared across cells: paired trials
-                sigma = random_sigma(rng, n)
-                secret = game.sample_secret(rng)
-                wins[i] = play_game(game, adv, sigma, secret).success
-            outcomes[buckets] = wins
+            for buckets in cells
+        }
+        outcomes = {buckets: np.zeros(trials, dtype=np.int8) for buckets in cells}
+        for i in range(trials):
+            rng = trial_generator(901, i)  # one sigma and secret for all cells: paired trials
+            sigma = random_sigma(rng, n)
+            secret = game.sample_secret(rng)
+            for buckets, adv in adversaries.items():
+                outcomes[buckets][i] = play_game(game, adv, sigma, secret).success
         stats = {}
         positive_ok = True
         for buckets, wins in outcomes.items():

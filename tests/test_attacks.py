@@ -17,9 +17,43 @@ from permchal.attacks import (
 from permchal.errors import ValidationError
 from permchal.games import LazyPermutation, build_game, is_prime, play_game, random_sigma
 from permchal.harness import wilson_interval
-from permchal.seeding import derive_trial_seed, mix64, trial_generator
+from permchal.seeding import derive_trial_seed, mix64, mix64_array, trial_generator
 
 PRIMES_TO_101 = [n for n in range(2, 102) if is_prime(n)]
+
+
+def _reference_chain_preprocess(adv, sigma):
+    """Chain preprocessing one scalar read and one mix64 per step, chain by
+    chain: the advice and the any-offset merge count."""
+    n = adv.n
+    out = []
+    visited = set()
+    merged = 0
+    for c in range(adv.chains):
+        x = mix64(adv.walk_key, 0x5747, c) % n
+        path = [x]
+        for _ in range(adv.length):
+            x = (x + adv._step_size(int(sigma[(x - 1) % n]))) % n
+            path.append(x)
+        merged += not visited.isdisjoint(path)
+        visited.update(path)
+        out.append(bits_encode(int(sigma[(x - 1) % n]) - 1, adv.width) + bits_encode(x, adv.width))
+    return "".join(out), merged
+
+
+def _reference_sqddh_preprocess(adv, sigma):
+    """Majority advice with the gather indices built per call and the
+    advice joined bucket by bucket."""
+    n = adv.n
+    x = np.arange(n, dtype=np.int64)
+    code = adv._pair_code(sigma[(x - 1) % n], sigma[((x * x) % n - 1) % n])
+    marked = mix64_array(adv.key_mark, code) % np.uint64(adv.t) == 0
+    code_m = code[marked]
+    bucket = (mix64_array(adv.key_bucket, code_m) % np.uint64(adv.buckets)).astype(np.int64)
+    qbit = (mix64_array(adv.key_bit, code_m) & np.uint64(1)).astype(np.float64)
+    ones = np.bincount(bucket, weights=qbit, minlength=adv.buckets)
+    counts = np.bincount(bucket, minlength=adv.buckets)
+    return "".join("1" if 2 * o >= c else "0" for o, c in zip(ones, counts))
 
 
 def _success_rate(game, adversary, trials, master, adversary_factory=None):
@@ -212,6 +246,19 @@ class TestChainPreprocessing:
         assert any(merged > 0 and same_end == 0 for merged, same_end in counts), counts
 
 
+    @pytest.mark.parametrize("n,chains,length", [(101, 8, 8), (1009, 32, 16), (1009, 64, 40)])
+    def test_batched_walk_matches_the_scalar_reference(self, n, chains, length):
+        # all chains in lockstep over batched reads: the same advice and
+        # merge count as the scalar walk, seed by seed
+        for seed in range(200):
+            adv = chain_preprocessing_dlog(
+                AttackConfig(n=n, t_budget=length, chains=chains, chain_length=length, seed=seed)
+            )
+            sigma = random_sigma(trial_generator(300 + chains, seed), n)
+            advice = adv.preprocess(sigma)
+            assert (advice, adv.last_endpoint_collisions) == _reference_chain_preprocess(adv, sigma)
+
+
 class TestDaemen:
     def test_planted_keys_recovered_exactly(self):
         game = build_game("EM_KR", 1024)
@@ -338,6 +385,14 @@ class TestSqddhMajority:
         band = 3 * math.sqrt(0.25 / 3000)
         assert rates[1] - 0.5 > band
         assert rates[1] > rates[0] > 0.5
+
+    @pytest.mark.parametrize("buckets", [8, 32, 128])
+    def test_advice_matches_the_reference(self, buckets):
+        n = 8191
+        adv = sqddh_nonadaptive_adversary(AttackConfig(n=n, t_budget=16, buckets=buckets, seed=900))
+        for i in range(20):
+            sigma = random_sigma(trial_generator(901, i), n)
+            assert adv.preprocess(sigma) == _reference_sqddh_preprocess(adv, sigma)
 
     def test_advice_is_bucket_count_bits(self):
         adv = sqddh_nonadaptive_adversary(AttackConfig(n=127, t_budget=8, buckets=32))

@@ -43,17 +43,27 @@ class TestFiniteDistribution:
             d.mass[0] = 0.3
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        pytest.param(lambda mass: FiniteDistribution(("a", "b"), mass), id="finite"),
-        pytest.param(lambda mass: JointDistribution(("x",), (("a", "b"),), mass), id="joint"),
-        pytest.param(lambda mass: BijectionDistribution(2, (0, 1), mass), id="bijection"),
-    ],
-)
+MASS_BUILDERS = [
+    pytest.param(lambda mass: FiniteDistribution(("a", "b"), mass), id="finite"),
+    pytest.param(lambda mass: JointDistribution(("x",), (("a", "b"),), mass), id="joint"),
+    pytest.param(lambda mass: BijectionDistribution(2, (0, 1), mass), id="bijection"),
+]
+
+
+@pytest.mark.parametrize("build", MASS_BUILDERS)
 def test_nan_mass_rejected(build):
     with pytest.raises(ValidationError):
         build([math.nan, 1.0])
+
+
+@pytest.mark.parametrize("build", MASS_BUILDERS)
+@pytest.mark.parametrize(
+    "mass", [("a", "b"), ["x", "y"], [[0.5], [0.25, 0.25]]], ids=["str-tuple", "str-list", "ragged"]
+)
+def test_non_numeric_or_ragged_mass_is_validation_error(build, mass):
+    # numpy's own TypeError/ValueError must not escape the validator
+    with pytest.raises(ValidationError):
+        build(mass)
 
 
 class TestEntropy:

@@ -216,23 +216,72 @@ class TestPlayGame:
             play_game(g, _FixedQueryAdversary(outer=[(5, 1)]), np.arange(1, 6), 1)
 
 
+def _s4_chi_square(read, seed):
+    """Chi-square statistic over all 24 permutations of [4], each sample
+    a fresh LazyPermutation resolved in full by ``read``."""
+    counts = dict.fromkeys(itertools.permutations(range(1, 5)), 0)
+    samples = 24_000
+    for i in range(samples):
+        counts[read(LazyPermutation(4, trial_generator(seed, i)))] += 1
+    expected = samples / 24
+    return sum((c - expected) ** 2 / expected for c in counts.values())
+
+
 class TestLazyPermutation:
     @pytest.mark.parametrize("inverse_reads", [False, True])
     def test_full_resolution_is_uniform_over_s4(self, inverse_reads):
         # chi-square over all 24 permutations of [4]. The reads go in a
         # fixed order (a random order would hide a biased value choice);
         # with inverse_reads the preimages of 1 and 2 are drawn first.
-        perms = list(itertools.permutations(range(1, 5)))
-        counts = dict.fromkeys(perms, 0)
-        samples = 24_000
-        for i in range(samples):
-            sigma = LazyPermutation(4, trial_generator(62, i))
+        def read(sigma):
             if inverse_reads:
                 sigma.inverse[0], sigma.inverse[1]
-            counts[tuple(sigma[j] for j in range(4))] += 1
-        expected = samples / 24
-        stat = sum((c - expected) ** 2 / expected for c in counts.values())
-        assert stat <= chi2.ppf(1 - 1e-3, df=23)
+            return tuple(sigma[j] for j in range(4))
+
+        assert _s4_chi_square(read, 62) <= chi2.ppf(1 - 1e-3, df=23)
+
+    @pytest.mark.parametrize("inverse_reads", [False, True])
+    @pytest.mark.parametrize(
+        "batches",
+        [[[0, 1, 2, 3]], [[1, 3], [3, 0, 2, 1]], [[2, 0, 2, 1, 3, 0]]],
+        ids=["one-batch", "two-batches", "repeated-slot"],
+    )
+    def test_batched_resolution_is_uniform_over_s4(self, batches, inverse_reads):
+        # the same chi-square through take; the second batch repeats slots
+        # the first has drawn, and with inverse_reads a batch of inverse
+        # reads draws the preimages of 1 and 2 first
+        def read(sigma):
+            if inverse_reads:
+                sigma.inverse.take(np.array([0, 1]))
+            image = {}
+            for batch in batches:
+                image.update(zip(batch, sigma.take(np.array(batch)).tolist()))
+            return tuple(image[j] for j in range(4))
+
+        assert _s4_chi_square(read, 69) <= chi2.ppf(1 - 1e-3, df=23)
+
+    def test_take_agrees_with_scalar_reads(self):
+        n = 50
+        sigma = LazyPermutation(n, np.random.Generator(np.random.PCG64(70)))
+        first = sigma.take(np.array([7, 7, 3, 7], dtype=np.int64))
+        assert first.dtype == np.int64 and first[0] == first[1] == first[3] == sigma[7]
+        assert first[2] == sigma[3] != first[0]
+        slots = np.random.Generator(np.random.PCG64(71)).integers(0, n, size=40)
+        assert sigma.take(slots).tolist() == [sigma[int(j)] for j in slots]
+        values = sigma.take(np.arange(n))
+        assert sorted(values.tolist()) == list(range(1, n + 1))
+        assert sigma.inverse.take(values - 1).tolist() == list(range(1, n + 1))
+        assert sigma.take(np.array([], dtype=np.int64)).tolist() == []
+
+    def test_take_rejects_bad_slot_arrays(self):
+        sigma = LazyPermutation(5, np.random.Generator(np.random.PCG64(72)))
+        bad = ([0, 5], [-1], np.array([1.0]), np.array([[1]]), ["1"], np.array([True]), 3)
+        for slots in bad:
+            with pytest.raises(ValidationError):
+                sigma.take(slots)
+            with pytest.raises(ValidationError):
+                sigma.inverse.take(slots)
+        assert sigma._image == {}
 
     def test_reads_are_stable_and_values_distinct(self):
         n = 50
