@@ -14,8 +14,10 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -202,34 +204,31 @@ def _run_chunk(spec: ExperimentSpec, lo: int, hi: int) -> int:
     return successes
 
 
-def _chunk_worker(payload: tuple) -> int:
-    spec_dict, lo, hi = payload
-    return _run_chunk(ExperimentSpec(**spec_dict), lo, hi)
-
-
-def run_trials(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
+def run_trials(spec: ExperimentSpec, jobs: int = 1, *,
+               pool: Optional[Executor] = None) -> ExperimentReport:
     """Run one experiment's trials and assemble the report row.
 
     Each trial samples a fresh uniform permutation (Fisher-Yates under
     the trial stream) and a fresh uniform secret, then plays the game.
     The report attaches the applicable ceiling at the attack's declared
-    advice length and the experiment's t.
+    advice length and the experiment's t. On ``pool`` the trials run in
+    chunks of ``ceil(trials / (jobs * 4))``; without one, ``jobs > 1``
+    opens a ``jobs``-worker pool for this call alone.
     """
+    if jobs < 1:
+        raise ValidationError("jobs must be at least 1")
+    if pool is None and jobs > 1 and spec.trials > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as own:
+            return run_trials(spec, jobs, pool=own)
     start = time.perf_counter()
     theorem = resolve_theorem(spec)
     game = build_game(spec.kind, spec.n)
     declared_bits = build_adversary(spec, game, derive_trial_seed(spec.master_seed, 0)).s_bits
 
-    if jobs <= 1 or spec.trials < 2:
-        successes = _run_chunk(spec, 0, spec.trials)
-    else:
-        chunk = max(1, math.ceil(spec.trials / (jobs * 4)))
-        payloads = [
-            (asdict(spec), lo, min(spec.trials, lo + chunk))
-            for lo in range(0, spec.trials, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            successes = sum(pool.map(_chunk_worker, payloads))
+    chunk = spec.trials if pool is None else math.ceil(spec.trials / (jobs * 4))
+    los = range(0, spec.trials, chunk)
+    his = [min(spec.trials, lo + chunk) for lo in los]
+    successes = sum((map if pool is None else pool.map)(_run_chunk, repeat(spec), los, his))
 
     ci_low, ci_high = wilson_interval(successes, spec.trials)
     bound = (
@@ -253,7 +252,7 @@ def sweep_grid(
     jobs: int = 1,
     on_report: Optional[Callable[[ExperimentReport], None]] = None,
 ) -> list:
-    """Run specs in order; flush each report as it completes.
+    """Run specs in order on one pool; flush each report as it completes.
 
     A hard failure aborts the sweep after the callback has seen every
     completed report, so partial results are already flushed.
@@ -261,11 +260,12 @@ def sweep_grid(
     if not specs:
         raise ValidationError("sweep_grid: empty grid")
     reports = []
-    for spec in specs:
-        report = run_trials(spec, jobs=jobs)
-        reports.append(report)
-        if on_report is not None:
-            on_report(report)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for spec in specs:
+            report = run_trials(spec, jobs, pool=pool)
+            reports.append(report)
+            if on_report is not None:
+                on_report(report)
     return reports
 
 

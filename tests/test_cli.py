@@ -165,6 +165,14 @@ class TestSweepCommand:
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_jobs_below_one_rejected(self, tmp_path, capsys):
+        cfg = self._config(
+            tmp_path, [{"game": "dlog", "attack": "bsgs", "n": 11, "t": 3, "trials": 5}]
+        )
+        code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--jobs", "0")
+        assert code == 2
+        assert "jobs" in err
+
 
 class TestOtherCommands:
     def test_uniformity(self, capsys):

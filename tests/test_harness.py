@@ -1,9 +1,11 @@
 import io
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from permchal import harness
 from permchal.attacks import ATTACKS, Attack
 from permchal.errors import ValidationError
 from permchal.games import AdaptiveAdversary, GameKind
@@ -117,6 +119,14 @@ class TestRunTrials:
         assert serial.successes == parallel.successes
         assert serial.csv_row() == parallel.csv_row()
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        spec = ExperimentSpec(game="dlog", attack="bsgs", n=11, t=3, trials=4)
+        with pytest.raises(ValidationError):
+            run_trials(spec, jobs=jobs)
+        with pytest.raises(ValidationError):
+            sweep_grid([spec], jobs=jobs)
+
 
 class _ToyAdaptive(Attack, AdaptiveAdversary):
     """Finds sigma(d) by inner queries 1, 2, ...: an attack added by one class."""
@@ -204,6 +214,33 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep_grid([good, bad, good], on_report=flushed.append)
         assert len(flushed) == 1 and flushed[0].spec.t == 3
+
+    def test_hard_failure_at_two_jobs_shuts_the_pool_down(self):
+        good = ExperimentSpec(game="dlog", attack="bsgs", n=101, t=3, trials=50, master_seed=1)
+        bad = ExperimentSpec(
+            game="dlog", attack="bsgs", n=101, t=11, trials=50, master_seed=1, s_bits=10
+        )
+        flushed = []
+        with pytest.raises(ValidationError):
+            sweep_grid([good, bad, good], jobs=2, on_report=flushed.append)
+        assert len(flushed) == 1 and flushed[0].spec.t == 3
+        assert multiprocessing.active_children() == []
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        built = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        sweep_grid(self._grid(), jobs=2)
+        assert len(built) == 1
+        sweep_grid(self._grid(), jobs=1)
+        assert len(built) == 1
+        run_trials(self._grid()[0], jobs=2)
+        assert len(built) == 2
 
     def test_byte_identical_csv_across_jobs(self):
         grid = self._grid()
