@@ -155,6 +155,11 @@ def _cmd_game(args) -> int:
 
 def _cmd_sweep(args) -> int:
     specs = _load_sweep_config(args.config)
+    # reject what fails before any row, so an invalid sweep leaves --out untouched
+    if args.jobs < 1:
+        raise ValidationError("jobs must be at least 1")
+    for spec in specs:
+        build_game(spec.kind, spec.n)
     with ExitStack() as stack:
         fh = _output(args, stack)
         # CSV rows stream out as each spec completes; JSON is written at the end

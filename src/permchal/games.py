@@ -242,6 +242,11 @@ class PCGame:
         broadcasts over coefficient columns."""
         raise NotImplementedError
 
+    def _offset_class_leaders(self) -> Iterator:
+        """The outer queries measure_uniformity scans, in iter_outer_queries
+        order: every other query's counts relabel those of an earlier one."""
+        return self.iter_outer_queries()
+
     def translate_index(self, secret, m) -> int:
         """0-based index of the sigma input addressed by outer query m."""
         return self._translate_index(self._coefficients(secret), m)
@@ -273,6 +278,10 @@ class _GgmGame(PCGame):
 
     def element_from_index(self, idx: int) -> int:
         return self.n if idx == 0 else idx
+
+    def _offset_class_leaders(self):
+        # (a.c + b) mod n: query (a.., b) shifts (a.., 1)'s counts by b - 1
+        return (m for m in self.iter_outer_queries() if m[-1] == 1)
 
 
 class DlogGame(_GgmGame):
@@ -437,6 +446,10 @@ class _EmGame(PCGame):
 
     def _translate_index(self, k1, m):
         return self._bits(m) ^ k1
+
+    def _offset_class_leaders(self):
+        # bits(m) ^ k1: query m relabels query 1's counts by XOR with bits(m)
+        return iter((1,))
 
     @property
     def outer_query_count(self) -> int:
@@ -717,8 +730,9 @@ class UniformityResult:
 def measure_uniformity(game: PCGame) -> UniformityResult:
     """Exhaustive u = |D| / max_{m,j} |{d : translate(d, m) = j}|.
 
-    Enumerates the full outer query space against the full secret space,
-    so it is restricted to desk-scale games.
+    Scans one leader query per offset class: every other query relabels its
+    leader's counts and comes after it, so the result is a full scan's.
+    Enumerates the full secret space, so it is restricted to desk-scale games.
     """
     if game.outer_query_count == 0:
         raise ValidationError("measure_uniformity: empty outer query space")
@@ -726,7 +740,7 @@ def measure_uniformity(game: PCGame) -> UniformityResult:
     best_fiber = 0
     worst_query = None
     worst_idx = 0
-    for m in game.iter_outer_queries():
+    for m in game._offset_class_leaders():
         counts = np.bincount(game._translate_index(columns, m), minlength=game.n)
         fiber = int(counts.max())
         if fiber > best_fiber:

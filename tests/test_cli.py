@@ -173,6 +173,26 @@ class TestSweepCommand:
         assert code == 2
         assert "jobs" in err
 
+    @pytest.mark.parametrize(
+        "jobs,entry",
+        [
+            ("0", {"game": "dlog", "attack": "bsgs", "n": 11, "t": 3, "trials": 5}),
+            ("1", {"game": "dlog", "attack": "bsgs", "n": 12, "t": 3, "trials": 5}),
+        ],
+        ids=["jobs-0", "non-prime-n"],
+    )
+    def test_invalid_sweep_leaves_out_untouched(self, tmp_path, capsys, jobs, entry):
+        cfg = self._config(
+            tmp_path, [{"game": "dlog", "attack": "bsgs", "n": 11, "t": 3, "trials": 5}, entry]
+        )
+        out_path = tmp_path / "o.csv"
+        out_path.write_text("previous run\n")
+        code, _, _ = run_cli(
+            capsys, "sweep", "--config", cfg, "--jobs", jobs, "--out", str(out_path)
+        )
+        assert code == 2
+        assert out_path.read_text() == "previous run\n"
+
 
 class TestOtherCommands:
     def test_uniformity(self, capsys):

@@ -12,6 +12,8 @@ from permchal.games import (
     GameOracle,
     LazyPermutation,
     NonAdaptiveAdversary,
+    PCGame,
+    UniformityResult,
     build_game,
     measure_uniformity,
     play_game,
@@ -88,6 +90,34 @@ class TestBuildGame:
             build_game(kind, 5)
 
 
+class _ProductGame(PCGame):
+    """A game that states no offset classes.  Its translation (a*b*d) mod n
+    sends every secret to 0 at b = n, a fiber no b = 1 query shows, so only
+    the every-query default finds the maximum."""
+
+    secret_count = 5
+    outer_query_count = 20
+
+    def __init__(self):
+        super().__init__(5)
+
+    def element_from_index(self, idx):
+        return idx + 1
+
+    def iter_secrets(self):
+        return iter(range(1, 6))
+
+    def iter_outer_queries(self):
+        return itertools.product(range(1, 5), range(1, 6))
+
+    def _coefficients(self, secret):
+        return secret
+
+    def _translate_index(self, d, m):
+        a, b = m
+        return (a * b * d) % self.n
+
+
 class TestMeasureUniformity:
     @pytest.mark.parametrize("n", PRIMES)
     def test_dlog_exact(self, n):
@@ -101,8 +131,7 @@ class TestMeasureUniformity:
     @pytest.mark.parametrize("n", PRIMES)
     def test_decision_games_at_least_half(self, n):
         assert measure_uniformity(build_game("SQDDH", n)).u >= n / 2
-        if n <= 7:
-            assert measure_uniformity(build_game("DDH", n)).u >= n / 2
+        assert measure_uniformity(build_game("DDH", n)).u >= n / 2
 
     def test_worst_pair_is_reported(self):
         res = measure_uniformity(build_game("SQDDH", 5))
@@ -111,6 +140,32 @@ class TestMeasureUniformity:
             1 for d in g.iter_secrets() if g.translate(d, res.worst_query) == res.worst_target
         )
         assert fiber == res.max_fiber
+
+    @pytest.mark.parametrize(
+        "game",
+        [build_game(kind, n) for kind in ("DLOG", "SQDDH", "DDH") for n in PRIMES]
+        + [build_game(kind, n) for kind in ("EM_KR", "EM_KR_SINGLE") for n in (2, 4, 8, 16, 32)]
+        + [_ProductGame()],
+        ids=lambda g: f"{type(g).__name__}-{g.n}",
+    )
+    def test_leader_scan_matches_full_scan(self, game):
+        # reference: one bincount per outer query, the scan before offset classes
+        columns = game._secret_columns
+        best_fiber, worst_query, worst_idx = 0, None, 0
+        for m in game.iter_outer_queries():
+            counts = np.bincount(game._translate_index(columns, m), minlength=game.n)
+            if int(counts.max()) > best_fiber:
+                best_fiber, worst_query, worst_idx = int(counts.max()), m, int(counts.argmax())
+        expected = UniformityResult(
+            u=game.secret_count / best_fiber,
+            worst_query=worst_query,
+            worst_target=game.element_from_index(worst_idx),
+            max_fiber=best_fiber,
+            secret_count=game.secret_count,
+        )
+        result = measure_uniformity(game)
+        assert result == expected
+        assert type(result.worst_query) is type(expected.worst_query)
 
     @pytest.mark.parametrize(
         "kind,n", [("DLOG", 7), ("DDH", 3), ("SQDDH", 5), ("EM_KR", 8), ("EM_KR_SINGLE", 8)]
