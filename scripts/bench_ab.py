@@ -47,6 +47,8 @@ def parse_args(argv):
     args = p.parse_args(argv)
     if args.repeats < 1:
         p.error("--repeats must be positive")
+    if not all(re.fullmatch(r"\d\d", c) for c in args.criteria):
+        p.error("--criteria takes two-digit criterion numbers, e.g. 07")
     return args
 
 
@@ -83,7 +85,12 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 def time_criteria(tree: str, criteria) -> dict:
     """Seconds of pytest's call phase per acceptance criterion, and its
-    ``ACCEPTANCE`` line (verdict and detail)."""
+    ``ACCEPTANCE`` line (verdict and detail).
+
+    A criterion that fails still has its seconds (pytest exit 1). Any other
+    non-zero exit (nothing selected, a collection error) or a requested
+    criterion without a duration raises, with pytest's output.
+    """
     selector = " or ".join(f"test_criterion_{c}_" for c in criteria)
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.run(
@@ -92,8 +99,14 @@ def time_criteria(tree: str, criteria) -> dict:
         cwd=tree, env=env, capture_output=True, text=True,
     )
     seconds = {m.group(2): float(m.group(1)) for m in _DURATION.finditer(proc.stdout)}
+    missing = [c for c in criteria if c not in seconds]
+    if proc.returncode not in (0, 1) or missing:
+        raise RuntimeError(
+            f"pytest in {tree} exited {proc.returncode}; no duration for criteria {missing}\n"
+            f"{proc.stderr}\n{proc.stdout[-2000:]}"
+        )
     lines = dict(re.findall(r"ACCEPTANCE (\d+) (.*)", proc.stdout))
-    return {c: {"seconds": seconds.get(c), "line": lines.get(c)} for c in criteria}
+    return {c: {"seconds": seconds[c], "line": lines.get(c)} for c in criteria}
 
 
 def _spread(values) -> dict:

@@ -11,6 +11,7 @@ the pins it reproduces the hybrid game's answer distribution exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -18,6 +19,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .games import GameOracle, GameTranscript, PCGame, _sample_outside
+
+
+def _complement(n: int, pinned) -> np.ndarray:
+    """Sorted 1-based complement of the pinned set in [n], values in range."""
+    free = np.ones(n + 1, dtype=bool)
+    free[np.array(pinned, dtype=np.int64)] = False
+    return np.flatnonzero(free)[1:]  # 0 is no element of [n]
 
 
 @dataclass(frozen=True)
@@ -28,8 +36,10 @@ class MidConstraints:
     outputs: tuple
 
     def __post_init__(self):
-        inputs = tuple(int(i) for i in self.inputs)
-        outputs = tuple(int(o) for o in self.outputs)
+        try:
+            inputs, outputs = (tuple(map(operator.index, v)) for v in (self.inputs, self.outputs))
+        except TypeError:
+            raise ValidationError("MidConstraints: inputs and outputs must be integers") from None
         if len(inputs) != len(outputs):
             raise ValidationError("MidConstraints: inputs and outputs must have equal length")
         if len(set(inputs)) != len(inputs):
@@ -51,15 +61,15 @@ def sample_constrained_permutation(
     n: int, constraints: MidConstraints, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform permutation of [n] subject to sigma(I_j) = O_j."""
+    return _pinned_permutation(n, constraints, rng.permutation)
+
+
+def _pinned_permutation(n: int, constraints: MidConstraints, arrange) -> np.ndarray:
+    """sigma(I_j) = O_j, and ``arrange(free values)`` at the free positions, both sorted."""
     constraints.validate_range(n)
     sigma = np.zeros(n, dtype=np.int64)
-    pinned_in = np.array(constraints.inputs, dtype=np.int64)
-    pinned_out = np.array(constraints.outputs, dtype=np.int64)
-    if len(pinned_in):
-        sigma[pinned_in - 1] = pinned_out
-    free_pos = np.setdiff1d(np.arange(1, n + 1, dtype=np.int64), pinned_in)
-    free_val = np.setdiff1d(np.arange(1, n + 1, dtype=np.int64), pinned_out)
-    sigma[free_pos - 1] = rng.permutation(free_val)
+    sigma[np.array(constraints.inputs, dtype=np.int64) - 1] = constraints.outputs
+    sigma[_complement(n, constraints.inputs) - 1] = arrange(_complement(n, constraints.outputs))
     return sigma
 
 
@@ -156,24 +166,12 @@ def trivial_post_reduction(
     Only defined for games whose post-processing is the identity. The
     remaining points are matched order-preservingly between the two
     complements, so the construction is deterministic in its inputs.
+    pi is pinned as ``MidConstraints(observed_outputs, constraints.outputs)``,
+    so bad observed outputs fail as the inputs of those constraints.
     Returns pi as a tuple with pi(x) = result[x - 1].
     """
     if not game.has_trivial_post:
         raise ValidationError("trivial_post_reduction requires an identity post-processing")
     constraints.validate_range(game.n)
-    observed = tuple(int(v) for v in observed_outputs)
-    if len(observed) != len(constraints):
-        raise ValidationError("observed outputs and constraints differ in length")
-    if len(set(observed)) != len(observed):
-        raise ValidationError("observed outputs contain repeats")
-    if any(not (1 <= v <= game.n) for v in observed):
-        raise ValidationError("observed output out of range")
-    n = game.n
-    pi = [0] * n
-    for src, dst in zip(observed, constraints.outputs):
-        pi[src - 1] = dst
-    rest_src = sorted(set(range(1, n + 1)) - set(observed))
-    rest_dst = sorted(set(range(1, n + 1)) - set(constraints.outputs))
-    for src, dst in zip(rest_src, rest_dst):
-        pi[src - 1] = dst
-    return tuple(pi)
+    relabel = MidConstraints(observed_outputs, constraints.outputs)
+    return tuple(_pinned_permutation(game.n, relabel, lambda free: free).tolist())

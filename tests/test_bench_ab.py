@@ -63,3 +63,58 @@ def test_one_pair_has_a_degenerate_spread():
     summary = bench_ab.summarise(_runs([_line(0.5, 2)], [_line(0.4, 3)]), BETTER)
     wall = summary["sweep-bulk"]["metrics"]["wall_s"]
     assert wall["change"]["q1"] == wall["change"]["median"] == wall["change"]["q3"] == 0.4
+
+
+def _pytest_result(monkeypatch, returncode, stdout, stderr=""):
+    """Make ``subprocess.run`` inside bench_ab return a canned pytest run."""
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        return bench_ab.subprocess.CompletedProcess(cmd, returncode, stdout, stderr)
+
+    monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
+    return calls
+
+
+_PASSED = (
+    "ACCEPTANCE 05 PASS: exhaustive u values\n"
+    "ACCEPTANCE 07 FAIL: 3/32\n"
+    "1.88s call     tests/test_acceptance.py::test_criterion_05_uniformity\n"
+    "37.10s call     tests/test_acceptance.py::test_criterion_07_adaptive_separation_exhibit\n"
+)
+
+
+def test_time_criteria_reads_durations_also_of_a_failing_criterion(monkeypatch):
+    calls = _pytest_result(monkeypatch, 1, _PASSED)
+    got = bench_ab.time_criteria("tree", ["05", "07"])
+    assert got == {
+        "05": {"seconds": 1.88, "line": "PASS: exhaustive u values"},
+        "07": {"seconds": 37.10, "line": "FAIL: 3/32"},
+    }
+    assert calls[0][-1] == "test_criterion_05_ or test_criterion_07_"
+
+
+def test_time_criteria_raises_when_nothing_was_selected(monkeypatch):
+    _pytest_result(monkeypatch, 5, "no tests ran\n", "selected nothing")
+    with pytest.raises(RuntimeError, match="exited 5") as err:
+        bench_ab.time_criteria("tree", ["7"])
+    assert "selected nothing" in str(err.value)
+
+
+def test_time_criteria_raises_on_a_collection_error(monkeypatch):
+    _pytest_result(monkeypatch, 2, "ERROR collecting tests/test_acceptance.py\n", "ImportError: x")
+    with pytest.raises(RuntimeError, match="ImportError"):
+        bench_ab.time_criteria("tree", ["05"])
+
+
+def test_time_criteria_raises_when_a_criterion_has_no_duration(monkeypatch):
+    _pytest_result(monkeypatch, 0, _PASSED)
+    with pytest.raises(RuntimeError, match=r"\['09'\]"):
+        bench_ab.time_criteria("tree", ["05", "09"])
+
+
+def test_unpadded_criterion_rejected_before_any_run():
+    with pytest.raises(SystemExit):
+        bench_ab.parse_args(["--base", "HEAD", "--out", "x.json", "--criteria", "7"])
+    assert bench_ab.parse_args(["--base", "HEAD", "--out", "x.json", "--criteria", "07"]).criteria == ["07"]

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -407,6 +409,18 @@ class TestMidGame:
         with pytest.raises(ValidationError):
             MidConstraints((1,), (2, 3))
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "a", None])
+    def test_non_integer_entries_rejected(self, bad):
+        with pytest.raises(ValidationError, match="integers"):
+            MidConstraints((bad,), (2,))
+        with pytest.raises(ValidationError, match="integers"):
+            MidConstraints((2,), (bad,))
+
+    def test_numpy_integers_accepted(self):
+        c = MidConstraints((np.int64(1), np.uint8(3)), [np.int32(2), 4])
+        assert c.inputs == (1, 3) and c.outputs == (2, 4)
+        assert all(type(v) is int for v in c.inputs + c.outputs)
+
     def test_full_constraints_determine_sigma(self):
         g = build_game("DLOG", 5)
         perm = (3, 1, 4, 5, 2)
@@ -448,6 +462,78 @@ class TestMidGame:
         assert (counts_mid > 0).sum() == (counts_plain > 0).sum()
         diff = np.abs(counts_mid - counts_plain) / samples
         assert diff.max() < 0.02
+
+
+def _setdiff1d_constrained_permutation(n, constraints, rng):
+    """The free positions and values by np.setdiff1d: the reference construction."""
+    sigma = np.zeros(n, dtype=np.int64)
+    pinned_in = np.array(constraints.inputs, dtype=np.int64)
+    pinned_out = np.array(constraints.outputs, dtype=np.int64)
+    if len(pinned_in):
+        sigma[pinned_in - 1] = pinned_out
+    free_pos = np.setdiff1d(np.arange(1, n + 1, dtype=np.int64), pinned_in)
+    free_val = np.setdiff1d(np.arange(1, n + 1, dtype=np.int64), pinned_out)
+    sigma[free_pos - 1] = rng.permutation(free_val)
+    return sigma
+
+
+def _sorted_set_post_reduction(n, constraints, observed):
+    """pi matched through sorted(set(...)) complements: the reference construction."""
+    pi = [0] * n
+    for src, dst in zip(observed, constraints.outputs):
+        pi[src - 1] = dst
+    rest_src = sorted(set(range(1, n + 1)) - set(observed))
+    rest_dst = sorted(set(range(1, n + 1)) - set(constraints.outputs))
+    for src, dst in zip(rest_src, rest_dst):
+        pi[src - 1] = dst
+    return tuple(pi)
+
+
+def _random_pins(rng, n, t1):
+    ins = [int(x) + 1 for x in rng.choice(n, size=t1, replace=False)]
+    outs = [int(x) + 1 for x in rng.choice(n, size=t1, replace=False)]
+    return MidConstraints(ins, outs)
+
+
+@pytest.mark.parametrize("n,t1", [(n, t1) for n in (1, 2, 5, 101) for t1 in sorted({0, 1, n - 1, n})])
+class TestComplementCrossCheck:
+    def test_constrained_permutation_matches_setdiff1d(self, n, t1):
+        for seed in range(8):
+            constraints = _random_pins(trial_generator(60, seed), n, t1)
+            got = sample_constrained_permutation(n, constraints, trial_generator(61, seed))
+            want = _setdiff1d_constrained_permutation(n, constraints, trial_generator(61, seed))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_post_reduction_matches_sorted_set(self, n, t1):
+        # no game is defined at n = 1; the reduction reads only n and has_trivial_post
+        g = build_game("DLOG", n) if n > 1 else SimpleNamespace(n=1, has_trivial_post=True)
+        for seed in range(8):
+            rng = trial_generator(62, seed)
+            constraints = _random_pins(rng, n, t1)
+            observed = tuple(int(x) + 1 for x in rng.choice(n, size=t1, replace=False))
+            got = trivial_post_reduction(g, constraints, observed)
+            assert got == _sorted_set_post_reduction(n, constraints, observed)
+            assert all(type(v) is int for v in got)
+
+
+def _mid_transcript_digest():
+    h = hashlib.sha256()
+    for kind, n in (("DLOG", 11), ("DDH", 5), ("SQDDH", 7), ("EM_KR", 8)):
+        g = build_game(kind, n)
+        for i in range(40):
+            rng = trial_generator(90, i)
+            constraints = _random_pins(rng, n, int(rng.integers(0, n + 1)))
+            queries = [_random_outer_query(rng, g) for _ in range(3)]
+            secret = g.sample_secret(rng)
+            tr = play_mid_game(g, constraints, queries, lambda a: a[0], secret, derive_trial_seed(91, i))
+            h.update(tr.sigma.tobytes())
+            h.update(repr((tr.secret, tr.outer_answers, tr.output, tr.success, tr.t1, tr.t2)).encode())
+    return h.hexdigest()
+
+
+def test_play_mid_game_transcripts_pinned():
+    # digest of transcripts at fixed seeds, as the np.setdiff1d construction gave them
+    assert _mid_transcript_digest() == "2b06dd89e25a08b7704bfecf654d10fc3abb3825c8bc9196e15a0ca30f615a61"
 
 
 class TestMidSimulationOracle:
@@ -616,6 +702,14 @@ class TestTrivialPostReduction:
             trivial_post_reduction(g2, MidConstraints((1, 2), (2, 3)), (4,))
         with pytest.raises(ValidationError):
             trivial_post_reduction(g2, MidConstraints((1, 2), (2, 3)), (4, 4))
+        with pytest.raises(ValidationError):
+            trivial_post_reduction(g2, MidConstraints((1, 2), (2, 3)), (4, 6))
+
+    @pytest.mark.parametrize("bad", [1.5, "a", None])
+    def test_non_integer_observed_outputs_rejected(self, bad):
+        g = build_game("DLOG", 5)
+        with pytest.raises(ValidationError, match="integers"):
+            trivial_post_reduction(g, MidConstraints((1, 2), (2, 3)), (4, bad))
 
 
 class TestEvaluateBound:
