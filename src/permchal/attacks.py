@@ -40,7 +40,7 @@ from .games import (
     is_prime,
     random_sigma,
 )
-from .seeding import mix64, mix64_array, splitmix64, splitmix64_array
+from .seeding import mix64, mix64_array, seeded_generator, splitmix64, splitmix64_array
 
 
 @dataclass(frozen=True)
@@ -658,7 +658,7 @@ def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
     if instances < 1:
         raise ValidationError("need at least one instance")
 
-    rng = np.random.Generator(np.random.PCG64(seed if seed is not None else cfg.seed))
+    rng = seeded_generator(seed if seed is not None else cfg.seed, "run_mi_game")
     # one permutation fixed across instances, independent uniform secrets
     sigma = random_sigma(rng, n)
     secrets = [int(rng.integers(0, n)) for _ in range(instances)]

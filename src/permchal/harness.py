@@ -26,7 +26,7 @@ from .attacks import ATTACKS, run_mi_game
 from .bounds import BoundTheorem, evaluate_bound, theorem_for_game
 from .errors import ValidationError
 from .games import GameKind, build_game, play_game, random_sigma
-from .seeding import derive_trial_seed, trial_generator
+from .seeding import derive_trial_seed, seeded_generator, trial_generator
 from .shearer import (
     RATIO_SEARCH_MAX_N,
     CoverFamily,
@@ -347,9 +347,9 @@ def verify_inequalities(n: int, random_trials: int, seed: int) -> InequalitySumm
         raise ValidationError(f"verify_inequalities: need 2 <= n <= {RATIO_SEARCH_MAX_N}")
     if random_trials < 0:
         raise ValidationError("verify_inequalities: negative trial count")
+    rng = seeded_generator(seed, "verify_inequalities")
     if random_trials == 0:
         return InequalitySummary(n=n, trials=0, seed=seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
     min_c2 = min_c9 = min_rk = min_ind = min_prod = math.inf
     axes = tuple(f"x{i}" for i in range(n))
     supports = tuple((0, 1) for _ in range(n))

@@ -9,7 +9,11 @@ used by attacks (scalar and numpy-array forms).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+from .errors import ValidationError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -34,6 +38,17 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
         raise ValueError("trial_index must be non-negative")
     basis = (master_seed & _MASK64) ^ ((trial_index * _GOLDEN) & _MASK64)
     return splitmix64(basis)
+
+
+def seeded_generator(seed, where: str) -> np.random.Generator:
+    """PCG64 generator for a caller's seed, which must be a non-negative integer."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"{where}: seed must be an integer") from None
+    if seed < 0:
+        raise ValidationError(f"{where}: seed must be non-negative")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:

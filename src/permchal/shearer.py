@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -42,6 +43,7 @@ from .infotheory import (
     kl_bernoulli,
 )
 from .permutations import check_enum_size, permutation_matrix, permutation_rank
+from .seeding import seeded_generator
 
 RATIO_SEARCH_MAX_N = 6
 HILL_CLIMB_STEPS = 200
@@ -94,7 +96,10 @@ class CoverFamily:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("CoverFamily: n must be positive")
-        sets = tuple(frozenset(s) for s in self.sets)
+        try:
+            sets = tuple(frozenset(map(operator.index, s)) for s in self.sets)
+        except TypeError:
+            raise ValidationError("CoverFamily: sets must hold integer coordinates") from None
         for s in sets:
             if any(not (0 <= i < self.n) for i in s):
                 raise ValidationError("CoverFamily: set element out of range(n)")
@@ -214,16 +219,54 @@ def marginal_distribution(p: BijectionDistribution, u: Iterable) -> FiniteDistri
 
 
 def _cover_projections(cover: CoverFamily) -> list:
-    return [_projection(cover.n, tuple(sorted(s))) for s in cover.sets if s]
+    """The cover compiled for ``_marginal_kl_sum``: its runs of equal-size marginals.
+
+    Each run is (count, inverses): the ``_projection`` inverses of
+    consecutive non-empty sets, in cover order, whose marginals all have
+    ``count`` bins.
+    """
+    runs = []
+    for s in cover.sets:
+        if s:
+            inverse, count = _projection(cover.n, tuple(sorted(s)))
+            if runs and runs[-1][0] == count:
+                runs[-1][1].append(inverse)
+            else:
+                runs.append((count, [inverse]))
+    return runs
 
 
-def _marginal_kl_sum(mass: np.ndarray, projections: list) -> float:
-    """sum_j KL(marginal_j || uniform) of a rank-order mass vector."""
-    return sum(
-        (_kl_vs_uniform(np.bincount(inverse, weights=mass, minlength=count), count)
-         for inverse, count in projections),
-        0.0,
-    )
+def _marginal_kl_sum(mass: np.ndarray, runs: list) -> float:
+    """sum_j KL(marginal_j || uniform) of a rank-order mass vector.
+
+    A fused kernel: per run of k marginals with c bins, one ``bincount``
+    per set fills a (k, c) array and one ``marg * log(marg * c)`` pass
+    gives all its KL terms; a singleton cover is one run. The result is
+    bit-identical to adding up ``_kl_vs_uniform`` set by set, because
+    the summation order is kept:
+
+    * each set's terms are summed by numpy's pairwise sum over that
+      set's bins alone: ``reshape(k, c).sum(axis=1)`` groups like the
+      1-D sum of each row (``np.add.reduceat`` does not, even on 3 bins);
+    * ``_kl_vs_uniform`` drops zero bins before its sum, which moves the
+      pairwise grouping once a marginal has 8 or more bins. A bin is 0
+      only if the mass is 0 on every permutation in it, so a mass with
+      any zero entry takes the set-by-set path instead;
+    * the per-set sums are added as Python floats in cover order,
+      starting from 0.0.
+    """
+    if np.count_nonzero(mass) != mass.size:
+        return sum(
+            (_kl_vs_uniform(np.bincount(inverse, weights=mass, minlength=count), count)
+             for count, inverses in runs for inverse in inverses),
+            0.0,
+        )
+    sums = []
+    for count, inverses in runs:
+        marg = [np.bincount(inverse, weights=mass, minlength=count) for inverse in inverses]
+        marg = np.concatenate(marg) if len(marg) > 1 else marg[0]
+        sums += (marg * np.log(marg * count)).reshape(len(inverses), count).sum(axis=1).tolist()
+    return sum(sums, 0.0)
 
 
 def bijection_shearer_terms(p: BijectionDistribution, cover: CoverFamily) -> tuple:
@@ -369,8 +412,9 @@ def extremal_ratio_search(
 ) -> ExtremalSearchResult:
     """Maximize sum_j KL(P_Uj||Q_Uj) / (k * KL(P||Q)) over distributions P.
 
-    Candidates are all n! point masses plus ``trials`` Dirichlet(1)
-    restarts, each hill-climbed for HILL_CLIMB_STEPS multiplicative
+    Candidates are all n! point masses (one evaluation stands for them
+    all, as they share one ratio) plus ``trials`` Dirichlet(1) restarts,
+    each hill-climbed for HILL_CLIMB_STEPS multiplicative
     single-coordinate perturbations. P = Q is excluded (the ratio is
     0/0 there); a cover with k = 0 or only empty sets reports ratio 0.
     """
@@ -379,27 +423,34 @@ def extremal_ratio_search(
         raise ValidationError(f"extremal_ratio_search: n={n} exceeds cap {RATIO_SEARCH_MAX_N}")
     if cover.n != n:
         raise ValidationError("extremal_ratio_search: cover size mismatch")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise ValidationError("extremal_ratio_search: trials must be an integer") from None
+    if trials < 0:
+        raise ValidationError("extremal_ratio_search: negative trial count")
+    rng = seeded_generator(seed, "extremal_ratio_search")
     f = math.factorial(n)
-    projections = _cover_projections(cover)
+    compiled = _cover_projections(cover)
 
     def ratio_of(mass: np.ndarray) -> float:
         kl_full = _kl_vs_uniform(mass, f)
         if cover.k == 0 or kl_full <= 1e-15:
             return 0.0
-        return _marginal_kl_sum(mass, projections) / (cover.k * kl_full)
+        return _marginal_kl_sum(mass, compiled) / (cover.k * kl_full)
 
     best_ratio = 0.0
     best_mass = np.full(f, 1.0 / f)
-    evaluations = 0
 
-    for r in range(f):
-        mass = np.zeros(f)
-        mass[r] = 1.0
-        rho = ratio_of(mass)
-        evaluations += 1
-        if rho > best_ratio:
-            best_ratio, best_mass = rho, mass
+    # Every point mass has the same ratio: each marginal is one-hot, with
+    # the term 1.0 * log(count) whatever the rank. Rank 0 stands for all
+    # n! of them, since a later one never beats it under the strict ">".
+    mass = np.zeros(f)
+    mass[0] = 1.0
+    rho = ratio_of(mass)
+    evaluations = f
+    if rho > best_ratio:
+        best_ratio, best_mass = rho, mass
 
     for _ in range(trials):
         mass = rng.dirichlet(np.ones(f))

@@ -453,3 +453,7 @@ class TestMiGame:
             run_mi_game(AttackConfig(n=1024, t_budget=10), seed=0)  # not prime
         with pytest.raises(ValidationError):
             run_mi_game(AttackConfig(n=101, t_budget=7), seed=0)  # odd budget
+        with pytest.raises(ValidationError):
+            run_mi_game(AttackConfig(n=101, t_budget=10), seed=-1)
+        with pytest.raises(ValidationError):
+            run_mi_game(AttackConfig(n=101, t_budget=10, seed=-1))  # the config's seed

@@ -215,6 +215,18 @@ class TestOtherCommands:
         assert code == 2
         assert "verify_inequalities" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("shearer", "--n", "3", "--trials", "2", "--seed", "-1"),
+            ("mi", "--n", "101", "--t", "10", "--seed", "-1"),
+        ],
+    )
+    def test_negative_seed_exit_code(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "seed must be non-negative" in err
+
     def test_mi(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -286,6 +286,11 @@ class TestVerifyInequalities:
         assert summary.min_bijection_gap_c2 is None
         assert summary.all_gaps_nonnegative()
 
+    @pytest.mark.parametrize("trials", [0, 5])
+    def test_negative_seed_rejected(self, trials):
+        with pytest.raises(ValidationError):
+            verify_inequalities(3, trials, seed=-1)
+
     def test_n2_extremal_point_mass_found(self):
         summary = verify_inequalities(2, 100, seed=1)
         assert summary.extremal_ratio == 2.0

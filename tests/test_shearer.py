@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,11 +15,16 @@ from permchal.infotheory import (
 )
 from permchal.permutations import permutation_matrix, permutation_rank, permutation_unrank
 from permchal.shearer import (
+    HILL_CLIMB_STEPS,
     BijectionDistribution,
     CoverFamily,
     ReadKFamily,
     ReadKFunction,
+    _cover_projections,
+    _marginal_kl_sum,
+    _projection,
     bijection_shearer_gap,
+    bijection_shearer_terms,
     extremal_ratio_search,
     indicator_distribution,
     indicator_shearer_gap,
@@ -126,6 +132,15 @@ class TestCoverFamily:
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
             CoverFamily(3, (frozenset([3]),))
+
+    @pytest.mark.parametrize("sets", [(frozenset(["a"]),), ([0, 1.5],), ([None],), (3,)])
+    def test_non_integer_elements_are_validation_errors(self, sets):
+        with pytest.raises(ValidationError):
+            CoverFamily(3, sets)
+
+    def test_numpy_integer_elements_accepted(self):
+        c = CoverFamily(3, (np.arange(2), [np.int64(2)]))
+        assert c.sets == (frozenset([0, 1]), frozenset([2]))
 
 
 class TestBijectionShearerGap:
@@ -318,6 +333,127 @@ class TestExtremalRatioSearch:
     def test_cap(self):
         with pytest.raises(ValidationError):
             extremal_ratio_search(7, singleton_cover(7), trials=1, seed=0)
+
+    @pytest.mark.parametrize("trials", [-3, 2.5, "2", None])
+    def test_bad_trials_are_validation_errors(self, trials):
+        with pytest.raises(ValidationError):
+            extremal_ratio_search(3, singleton_cover(3), trials=trials, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, None])
+    def test_bad_seed_is_a_validation_error(self, seed):
+        with pytest.raises(ValidationError):
+            extremal_ratio_search(3, singleton_cover(3), trials=1, seed=seed)
+
+
+def _reference_kl_vs_uniform(mass, count):
+    pos = mass[mass > 0]
+    return float((pos * np.log(pos * count)).sum()) if pos.size else 0.0
+
+
+def _reference_marginal_kl_sum(mass, cover):
+    """The per-projection marginal KL sum: one bincount and one KL per set."""
+    projections = [_projection(cover.n, tuple(sorted(s))) for s in cover.sets if s]
+    return sum(
+        (_reference_kl_vs_uniform(np.bincount(inverse, weights=mass, minlength=count), count)
+         for inverse, count in projections),
+        0.0,
+    )
+
+
+def _reference_extremal_ratio_search(n, cover, trials, seed):
+    """The search evaluating every point mass, on the per-projection sum."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    f = math.factorial(n)
+
+    def ratio_of(mass):
+        kl_full = _reference_kl_vs_uniform(mass, f)
+        if cover.k == 0 or kl_full <= 1e-15:
+            return 0.0
+        return _reference_marginal_kl_sum(mass, cover) / (cover.k * kl_full)
+
+    best_ratio, best_mass, evaluations = 0.0, np.full(f, 1.0 / f), 0
+    for r in range(f):
+        mass = np.zeros(f)
+        mass[r] = 1.0
+        rho = ratio_of(mass)
+        evaluations += 1
+        if rho > best_ratio:
+            best_ratio, best_mass = rho, mass
+    for _ in range(trials):
+        mass = rng.dirichlet(np.ones(f))
+        rho = ratio_of(mass)
+        evaluations += 1
+        if rho > best_ratio:
+            best_ratio, best_mass = rho, mass.copy()
+        for _ in range(HILL_CLIMB_STEPS):
+            idx = int(rng.integers(f))
+            factor = math.exp(rng.normal(0.0, 0.7))
+            cand = mass.copy()
+            cand[idx] *= factor
+            cand /= cand.sum()
+            cand_rho = ratio_of(cand)
+            evaluations += 1
+            if cand_rho > rho:
+                mass, rho = cand, cand_rho
+                if rho > best_ratio:
+                    best_ratio, best_mass = rho, mass.copy()
+    return best_ratio, best_mass / best_mass.sum(), evaluations
+
+
+class TestFusedMarginalKl:
+    """The fused kernel and the search on it against the per-projection code, exactly."""
+
+    @staticmethod
+    def _masses(rng, n):
+        f = math.factorial(n)
+        point = np.zeros(f)
+        point[int(rng.integers(f))] = 1.0
+        sparse = rng.dirichlet(np.ones(f)) * (rng.random(f) < 0.3)
+        sparse[int(rng.integers(f))] += 0.5
+        return [
+            rng.dirichlet(np.ones(f)),
+            rng.dirichlet(np.full(f, 0.05)),
+            point,
+            sparse / sparse.sum(),
+        ]
+
+    @staticmethod
+    def _covers(rng, n):
+        everything = tuple(range(n))
+        drawn = [random_cover(rng, n, max_sets=8) for _ in range(6)]
+        return drawn + [
+            CoverFamily(n, ()),
+            CoverFamily(n, (frozenset(),)),
+            singleton_cover(n),
+            CoverFamily(n, (frozenset(everything),) * 3 + (frozenset(),) + (frozenset([0]),) * 2),
+            CoverFamily(n, drawn[0].sets + (frozenset(),) + drawn[0].sets[::-1]),
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_kernel_equals_per_projection_sum(self, n):
+        rng = np.random.Generator(np.random.PCG64(100 + n))
+        for _ in range(20):
+            masses = self._masses(rng, n)
+            for cover in self._covers(rng, n):
+                compiled = _cover_projections(cover)
+                for mass in masses:
+                    assert _marginal_kl_sum(mass, compiled) == _reference_marginal_kl_sum(mass, cover)
+                p = BijectionDistribution(n, tuple(range(n)), masses[0])
+                assert bijection_shearer_terms(p, cover) == (
+                    _reference_kl_vs_uniform(p.mass, p.mass.size),
+                    _reference_marginal_kl_sum(p.mass, cover),
+                )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_search_equals_every_point_mass_search(self, n):
+        rng = np.random.Generator(np.random.PCG64(200 + n))
+        covers = [singleton_cover(n), random_cover(rng, n), random_cover(rng, n), CoverFamily(n, ())]
+        for seed, cover in itertools.product(range(3), covers):
+            res = extremal_ratio_search(n, cover, trials=2, seed=seed)
+            ratio, witness, evaluations = _reference_extremal_ratio_search(n, cover, 2, seed)
+            assert res.best_ratio == ratio
+            assert res.witness.mass.tobytes() == witness.tobytes()
+            assert res.evaluations == evaluations
 
 
 class TestBruteForceCrossChecks:
