@@ -11,13 +11,14 @@ is left as it is. For each workload in ``BENCHMARK.json``, pair r runs
 ``bench/run_bench.py --trace 0 --seed r+1`` for the declared
 ``run_seconds`` once on each tree, each tree with its own ``bench/``; the
 side that runs first alternates from pair to pair. With
-``--criteria`` the named acceptance criteria are then timed on both trees
-(pytest's call duration, one pytest run per tree).
+``--criteria`` the named acceptance criteria are then timed the same way:
+``--repeats`` pairs of pytest runs, one per tree, the first side
+alternating (pytest's call duration).
 
 The output file holds, per workload and end-to-end metric, each side's
 median, quartiles and range, the change/base ratio of the medians and how
 many pairs the change won; plus the ``src/`` line count of each tree,
-``nproc``, the criterion seconds and every raw run.
+``nproc``, each side's spread of the criterion seconds and every raw run.
 """
 
 from __future__ import annotations
@@ -109,6 +110,31 @@ def time_criteria(tree: str, criteria) -> dict:
     return {c: {"seconds": seconds[c], "line": lines.get(c)} for c in criteria}
 
 
+def _order(pair: int) -> tuple:
+    """The sides in the order they run in pair ``pair``: base first in even pairs."""
+    return SIDES if pair % 2 == 0 else SIDES[::-1]
+
+
+def time_criteria_pairs(trees: dict, criteria, repeats: int) -> dict:
+    """``time_criteria`` on both trees in ``repeats`` pairs, in ``_order``.
+
+    Per side and criterion: the spread of its seconds, the seconds of every
+    run in pair order and the distinct ``ACCEPTANCE`` lines seen.
+    """
+    runs = {side: [] for side in SIDES}
+    for pair in range(repeats):
+        for side in _order(pair):
+            runs[side].append(time_criteria(trees[side], criteria))
+    out = {}
+    for side in SIDES:
+        out[side] = {}
+        for c in criteria:
+            seconds = [run[c]["seconds"] for run in runs[side]]
+            lines = sorted({run[c]["line"] for run in runs[side]}, key=str)
+            out[side][c] = {**_spread(seconds), "seconds": seconds, "lines": lines}
+    return out
+
+
 def _spread(values) -> dict:
     if len(values) > 1:
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -167,13 +193,12 @@ def main(argv=None) -> int:
         runs = []
         for workload in (w["name"] for w in declared["workloads"]):
             for pair in range(args.repeats):
-                order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                for side in order:
+                for side in _order(pair):
                     result = run_bench(trees[side], workload, pair + 1, seconds)
                     runs.append({"workload": workload, "pair": pair, "side": side, "result": result})
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {pair} {side}: wall_s {wall:.4f}", file=sys.stderr)
-        criteria = {side: time_criteria(trees[side], args.criteria) for side in SIDES} if args.criteria else {}
+        criteria = time_criteria_pairs(trees, args.criteria, args.repeats) if args.criteria else {}
         report = {
             "base": args.base,
             "change": "working tree",

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractViolation, ValidationError
+from .errors import ContractViolation, ValidationError, nonnegative_int
 from .games import (
     AdaptiveAdversary,
     DlogGame,
@@ -551,7 +551,9 @@ class SqddhMajorityAdversary(Attack, NonAdaptiveAdversary):
 
 
 class ConstantGuessAdversary(Attack, NonAdaptiveAdversary):
-    """Zero queries, constant output; the floor every attack must beat."""
+    """Zero queries, constant output; the floor every attack must beat.
+
+    The output defaults to the target of the game's first secret."""
 
     name = "guess"
     games = frozenset(GameKind)
@@ -562,15 +564,7 @@ class ConstantGuessAdversary(Attack, NonAdaptiveAdversary):
 
     def __init__(self, game: PCGame, value=None, t_budget: Optional[int] = None):
         super().__init__(s_bits=0, t_budget=t_budget)
-        if value is None:
-            value = {
-                GameKind.DLOG: 1,
-                GameKind.DDH: 0,
-                GameKind.SQDDH: 0,
-                GameKind.EM_KR: (1, 1),
-                GameKind.EM_KR_SINGLE: 1,
-            }[game.kind]
-        self.value = value
+        self.value = game.success_target(next(game.iter_secrets())) if value is None else value
 
     def _plan(self, z: str):
         return [], []
@@ -654,7 +648,7 @@ def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
     guess_count = (
         cfg.guess_count if cfg.guess_count is not None else math.ceil(4 * n / (t * t))
     )
-    guess_count = min(guess_count, instances)
+    guess_count = min(nonnegative_int(guess_count, "run_mi_game: guess count"), instances)
     if instances < 1:
         raise ValidationError("need at least one instance")
 

@@ -16,6 +16,9 @@ Selectors:
 * TE1: identity post-processing refinement of T41, dropping the T^2
        terms: min(2*maxS + 4*ln2*S*T/u, maxS + sqrt(ln2*S*T/u))
 
+Each game class in ``games`` names its selector as ``theorem``: T11 for
+DLOG, T12 for DDH and sqDDH, T13 for both XOR-cipher games.
+
 maxS is the best success probability of a non-preprocessing non-adaptive
 T-query algorithm; the defaults are the classical no-advice ceilings.
 All values are clamped to [0, 1].
@@ -95,14 +98,3 @@ def evaluate_bound(
         value = 2.0 * max_s + 4.0 * LN2 * s_bits * (t + 1.0) / n + t * t / n
     return min(1.0, max(0.0, value))
 
-
-def theorem_for_game(kind) -> BoundTheorem:
-    """Default selector used by the experiment harness per game kind."""
-    from .games import GameKind
-
-    kind = GameKind(kind)
-    if kind == GameKind.DLOG:
-        return BoundTheorem.T11
-    if kind in (GameKind.DDH, GameKind.SQDDH):
-        return BoundTheorem.T12
-    return BoundTheorem.T13

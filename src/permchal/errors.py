@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import operator
+
 
 class PermchalError(Exception):
     """Base class for all errors raised by this package."""
@@ -16,3 +18,15 @@ class ContractViolation(PermchalError, RuntimeError):
     invocation after answers were delivered, inverse inner queries in
     games that forbid them, and queries outside the declared query spaces.
     """
+
+
+def nonnegative_int(value, what: str) -> int:
+    """``value`` as an int; a ``ValidationError`` naming ``what`` unless it
+    is a non-negative integer (bool and numpy integers pass, floats do not)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer") from None
+    if value < 0:
+        raise ValidationError(f"{what} must be non-negative")
+    return value

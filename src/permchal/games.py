@@ -41,6 +41,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from .bounds import BoundTheorem
 from .errors import ContractViolation, ValidationError
 
 MAX_SECRET_ENUMERATION = 2_000_000
@@ -190,9 +191,13 @@ class GameTranscript(NamedTuple):
 
 
 class PCGame:
-    """Base class; concrete kinds populate translation and secret space."""
+    """Base class. A game is one subclass, listed in ``GAMES``, that states
+    ``kind``, ``alias`` (its CLI and CSV name), ``theorem`` (its ceiling), its
+    query space and its translation; secrets default to [n], each its own target."""
 
     kind: GameKind
+    alias: str
+    theorem: BoundTheorem
     allow_inverse_inner = False
     has_trivial_post = True
 
@@ -207,16 +212,16 @@ class PCGame:
     # -- secrets -----------------------------------------------------------
     @property
     def secret_count(self) -> int:
-        raise NotImplementedError
+        return self.n
 
     def sample_secret(self, rng: np.random.Generator):
-        raise NotImplementedError
+        return int(rng.integers(1, self.n + 1))
 
     def iter_secrets(self) -> Iterator:
-        raise NotImplementedError
+        return iter(range(1, self.n + 1))
 
     def success_target(self, secret):
-        raise NotImplementedError
+        return secret
 
     # -- queries -----------------------------------------------------------
     @property
@@ -268,8 +273,11 @@ class PCGame:
 
 
 class _GgmGame(PCGame):
-    allow_inverse_inner = False
-    has_trivial_post = True
+    """Outer queries (a_1, .., a_arity, b) over [n], not every a_i = n;
+    each translates to sum a_i * c_i + b mod n for the secret's
+    coefficients c."""
+
+    arity: int
 
     def __init__(self, n: int):
         if not is_prime(n):
@@ -279,35 +287,50 @@ class _GgmGame(PCGame):
     def element_from_index(self, idx: int) -> int:
         return self.n if idx == 0 else idx
 
+    def _slopes(self) -> Iterator:
+        """Every (a_1, .., a_arity) in lexicographic order but the last, all-n one."""
+        n = self.n
+        return itertools.islice(itertools.product(range(1, n + 1), repeat=self.arity), n**self.arity - 1)
+
+    @property
+    def outer_query_count(self) -> int:
+        return self.n ** (self.arity + 1) - self.n
+
+    def iter_outer_queries(self):
+        elements = range(1, self.n + 1)
+        return (a + (b,) for a in self._slopes() for b in elements)
+
     def _offset_class_leaders(self):
         # (a.c + b) mod n: query (a.., b) shifts (a.., 1)'s counts by b - 1
-        return (m for m in self.iter_outer_queries() if m[-1] == 1)
+        return (a + (1,) for a in self._slopes())
+
+
+class _DecisionGame(_GgmGame):
+    """Secrets (d_1, .., d_arity, k) in [n]^arity x {0, 1}; target the bit k."""
+
+    theorem = BoundTheorem.T12
+
+    @property
+    def secret_count(self) -> int:
+        return 2 * self.n**self.arity
+
+    def sample_secret(self, rng):
+        # group elements, then the bit: the draw order the golden trial streams pin
+        d = rng.integers(1, self.n + 1, size=self.arity).tolist()
+        return (*d, int(rng.integers(0, 2)))
+
+    def iter_secrets(self):
+        return itertools.product(*[range(1, self.n + 1)] * self.arity, (0, 1))
+
+    def success_target(self, secret):
+        return secret[-1]
 
 
 class DlogGame(_GgmGame):
     kind = GameKind.DLOG
-
-    @property
-    def secret_count(self) -> int:
-        return self.n
-
-    def sample_secret(self, rng):
-        return int(rng.integers(1, self.n + 1))
-
-    def iter_secrets(self):
-        return iter(range(1, self.n + 1))
-
-    def success_target(self, secret):
-        return secret
-
-    @property
-    def outer_query_count(self) -> int:
-        return (self.n - 1) * self.n
-
-    def iter_outer_queries(self):
-        for a in range(1, self.n):
-            for b in range(1, self.n + 1):
-                yield (a, b)
+    alias = "dlog"
+    theorem = BoundTheorem.T11
+    arity = 1
 
     def validate_outer_query(self, m) -> None:
         if not (isinstance(m, tuple) and len(m) == 2):
@@ -324,36 +347,10 @@ class DlogGame(_GgmGame):
         return (a * d + b) % self.n
 
 
-class DdhGame(_GgmGame):
+class DdhGame(_DecisionGame):
     kind = GameKind.DDH
-
-    @property
-    def secret_count(self) -> int:
-        return 2 * self.n**3
-
-    def sample_secret(self, rng):
-        d1, d2, d3 = (int(v) for v in rng.integers(1, self.n + 1, size=3))
-        return (d1, d2, d3, int(rng.integers(0, 2)))
-
-    def iter_secrets(self):
-        rng_elems = range(1, self.n + 1)
-        for d1, d2, d3, k in itertools.product(rng_elems, rng_elems, rng_elems, (0, 1)):
-            yield (d1, d2, d3, k)
-
-    def success_target(self, secret):
-        return secret[3]
-
-    @property
-    def outer_query_count(self) -> int:
-        return self.n**4 - self.n
-
-    def iter_outer_queries(self):
-        n = self.n
-        rng_elems = range(1, n + 1)
-        for a1, a2, a3, b in itertools.product(rng_elems, rng_elems, rng_elems, rng_elems):
-            if a1 == n and a2 == n and a3 == n:
-                continue
-            yield (a1, a2, a3, b)
+    alias = "ddh"
+    arity = 3
 
     def validate_outer_query(self, m) -> None:
         if not (isinstance(m, tuple) and len(m) == 4):
@@ -376,36 +373,10 @@ class DdhGame(_GgmGame):
         return (a1 * r1 + a2 * r2 + a3 * quad + b) % self.n
 
 
-class SqddhGame(_GgmGame):
+class SqddhGame(_DecisionGame):
     kind = GameKind.SQDDH
-
-    @property
-    def secret_count(self) -> int:
-        return 2 * self.n**2
-
-    def sample_secret(self, rng):
-        d1, d2 = (int(v) for v in rng.integers(1, self.n + 1, size=2))
-        return (d1, d2, int(rng.integers(0, 2)))
-
-    def iter_secrets(self):
-        rng_elems = range(1, self.n + 1)
-        for d1, d2, k in itertools.product(rng_elems, rng_elems, (0, 1)):
-            yield (d1, d2, k)
-
-    def success_target(self, secret):
-        return secret[2]
-
-    @property
-    def outer_query_count(self) -> int:
-        return self.n**3 - self.n
-
-    def iter_outer_queries(self):
-        n = self.n
-        rng_elems = range(1, n + 1)
-        for a1, a2, b in itertools.product(rng_elems, rng_elems, rng_elems):
-            if a1 == n and a2 == n:
-                continue
-            yield (a1, a2, b)
+    alias = "sqddh"
+    arity = 2
 
     def validate_outer_query(self, m) -> None:
         if not (isinstance(m, tuple) and len(m) == 3):
@@ -429,6 +400,7 @@ class SqddhGame(_GgmGame):
 
 
 class _EmGame(PCGame):
+    theorem = BoundTheorem.T13
     allow_inverse_inner = True
     has_trivial_post = False
 
@@ -465,21 +437,17 @@ class _EmGame(PCGame):
 
 class EmKrGame(_EmGame):
     kind = GameKind.EM_KR
+    alias = "em"
 
     @property
     def secret_count(self) -> int:
         return self.n**2
 
     def sample_secret(self, rng):
-        k1, k2 = (int(v) for v in rng.integers(1, self.n + 1, size=2))
-        return (k1, k2)
+        return tuple(rng.integers(1, self.n + 1, size=2).tolist())
 
     def iter_secrets(self):
-        rng_elems = range(1, self.n + 1)
-        return itertools.product(rng_elems, rng_elems)
-
-    def success_target(self, secret):
-        return secret
+        return itertools.product(range(1, self.n + 1), repeat=2)
 
     def _coefficients(self, secret):
         return self._bits(secret[0])
@@ -490,19 +458,7 @@ class EmKrGame(_EmGame):
 
 class EmKrSingleGame(_EmGame):
     kind = GameKind.EM_KR_SINGLE
-
-    @property
-    def secret_count(self) -> int:
-        return self.n
-
-    def sample_secret(self, rng):
-        return int(rng.integers(1, self.n + 1))
-
-    def iter_secrets(self):
-        return iter(range(1, self.n + 1))
-
-    def success_target(self, secret):
-        return secret
+    alias = "em1k"
 
     def _coefficients(self, secret):
         return self._bits(secret)
@@ -511,19 +467,14 @@ class EmKrSingleGame(_EmGame):
         return (self._bits(j) ^ self._bits(secret)) + 1
 
 
-_GAME_CLASSES = {
-    GameKind.DLOG: DlogGame,
-    GameKind.DDH: DdhGame,
-    GameKind.SQDDH: SqddhGame,
-    GameKind.EM_KR: EmKrGame,
-    GameKind.EM_KR_SINGLE: EmKrSingleGame,
-}
+GAMES = {cls.kind: cls for cls in (DlogGame, DdhGame, SqddhGame, EmKrGame, EmKrSingleGame)}
+GAME_ALIASES = {cls.alias: kind for kind, cls in GAMES.items()}
 
 
 def build_game(kind, n: int) -> PCGame:
-    if kind not in _GAME_CLASSES:
+    if kind not in GAMES:
         raise ValidationError(f"unknown game kind {kind!r}")
-    return _GAME_CLASSES[kind](n)
+    return GAMES[kind](n)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .attacks import ATTACKS, run_mi_game
-from .bounds import BoundTheorem, evaluate_bound, theorem_for_game
-from .errors import ValidationError
-from .games import GameKind, build_game, play_game, random_sigma
+from .bounds import BoundTheorem, evaluate_bound
+from .errors import ValidationError, nonnegative_int
+from .games import GAME_ALIASES, GAMES, GameKind, build_game, play_game, random_sigma
 from .seeding import derive_trial_seed, seeded_generator, trial_generator
 from .shearer import (
     RATIO_SEARCH_MAX_N,
@@ -44,14 +44,6 @@ from .infotheory import JointDistribution
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 SEED_NOTE = "trial seed = splitmix64(master ^ (index * golden64)); Fisher-Yates sigma then secret"
-
-GAME_ALIASES = {
-    "dlog": GameKind.DLOG,
-    "ddh": GameKind.DDH,
-    "sqddh": GameKind.SQDDH,
-    "em": GameKind.EM_KR,
-    "em1k": GameKind.EM_KR_SINGLE,
-}
 
 CSV_COLUMNS = [
     "game",
@@ -171,7 +163,7 @@ def resolve_theorem(spec: ExperimentSpec) -> Optional[BoundTheorem]:
         if spec.theorem not in (None, "auto"):
             raise ValidationError(f"attack {spec.attack!r} plays its own game and has no bound theorem")
         return None
-    expected = theorem_for_game(spec.kind)
+    expected = GAMES[spec.kind].theorem
     if spec.theorem in (None, "auto"):
         return expected
     try:
@@ -345,8 +337,7 @@ def verify_inequalities(n: int, random_trials: int, seed: int) -> InequalitySumm
     """
     if not 2 <= n <= RATIO_SEARCH_MAX_N:
         raise ValidationError(f"verify_inequalities: need 2 <= n <= {RATIO_SEARCH_MAX_N}")
-    if random_trials < 0:
-        raise ValidationError("verify_inequalities: negative trial count")
+    random_trials = nonnegative_int(random_trials, "verify_inequalities: trials")
     rng = seeded_generator(seed, "verify_inequalities")
     if random_trials == 0:
         return InequalitySummary(n=n, trials=0, seed=seed)

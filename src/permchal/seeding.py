@@ -9,11 +9,9 @@ used by attacks (scalar and numpy-array forms).
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import ValidationError
+from .errors import nonnegative_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -42,13 +40,7 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
 
 def seeded_generator(seed, where: str) -> np.random.Generator:
     """PCG64 generator for a caller's seed, which must be a non-negative integer."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValidationError(f"{where}: seed must be an integer") from None
-    if seed < 0:
-        raise ValidationError(f"{where}: seed must be non-negative")
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(nonnegative_int(seed, f"{where}: seed")))
 
 
 def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, nonnegative_int
 from .infotheory import (
     FiniteDistribution,
     JointDistribution,
@@ -423,12 +423,7 @@ def extremal_ratio_search(
         raise ValidationError(f"extremal_ratio_search: n={n} exceeds cap {RATIO_SEARCH_MAX_N}")
     if cover.n != n:
         raise ValidationError("extremal_ratio_search: cover size mismatch")
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise ValidationError("extremal_ratio_search: trials must be an integer") from None
-    if trials < 0:
-        raise ValidationError("extremal_ratio_search: negative trial count")
+    trials = nonnegative_int(trials, "extremal_ratio_search: trials")
     rng = seeded_generator(seed, "extremal_ratio_search")
     f = math.factorial(n)
     compiled = _cover_projections(cover)

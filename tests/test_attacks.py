@@ -457,3 +457,8 @@ class TestMiGame:
             run_mi_game(AttackConfig(n=101, t_budget=10), seed=-1)
         with pytest.raises(ValidationError):
             run_mi_game(AttackConfig(n=101, t_budget=10, seed=-1))  # the config's seed
+
+    @pytest.mark.parametrize("guess_count", [-3, 1.5])
+    def test_bad_guess_count_rejected(self, guess_count):
+        with pytest.raises(ValidationError, match="guess count"):
+            run_mi_game(AttackConfig(n=101, t_budget=10, guess_count=guess_count), seed=0)

@@ -1,4 +1,4 @@
-"""The summarising step of scripts/bench_ab.py, on canned benchmark lines."""
+"""The summarising and criterion-timing steps of scripts/bench_ab.py, on canned runs."""
 
 import importlib.util
 import json
@@ -118,3 +118,20 @@ def test_unpadded_criterion_rejected_before_any_run():
     with pytest.raises(SystemExit):
         bench_ab.parse_args(["--base", "HEAD", "--out", "x.json", "--criteria", "7"])
     assert bench_ab.parse_args(["--base", "HEAD", "--out", "x.json", "--criteria", "07"]).criteria == ["07"]
+
+
+def test_criteria_pairs_alternate_the_first_side(monkeypatch):
+    calls = []
+    seconds = iter([10.0, 9.0, 8.5, 11.0, 10.5, 9.5])
+
+    def fake_time_criteria(tree, criteria):
+        calls.append(tree)
+        return {"07": {"seconds": next(seconds), "line": f"PASS: {tree}"}}
+
+    monkeypatch.setattr(bench_ab, "time_criteria", fake_time_criteria)
+    got = bench_ab.time_criteria_pairs({"base": "B", "change": "C"}, ["07"], 3)
+    assert calls == ["B", "C", "C", "B", "B", "C"]
+    base, change = got["base"]["07"], got["change"]["07"]
+    assert base["seconds"] == [10.0, 11.0, 10.5] and change["seconds"] == [9.0, 8.5, 9.5]
+    assert base["median"] == 10.5 and (change["min"], change["max"], change["n"]) == (8.5, 9.5, 3)
+    assert base["lines"] == ["PASS: B"] and change["lines"] == ["PASS: C"]

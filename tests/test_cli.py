@@ -227,6 +227,13 @@ class TestOtherCommands:
         assert code == 2
         assert "seed must be non-negative" in err
 
+    def test_negative_guess_count_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "mi", "--n", "101", "--t", "10", "--guess-count", "-3")
+        assert code == 2 and out == ""
+        assert "guess count must be non-negative" in err
+        code, out, _ = run_cli(capsys, "mi", "--n", "101", "--t", "10", "--guess-count", "0")
+        assert code == 0 and "guessed=0" in out
+
     def test_mi(self, capsys):
         code, out, _ = run_cli(
             capsys,

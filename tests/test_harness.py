@@ -291,6 +291,15 @@ class TestVerifyInequalities:
         with pytest.raises(ValidationError):
             verify_inequalities(3, trials, seed=-1)
 
+    @pytest.mark.parametrize("trials", [2.5, "3", None])
+    def test_non_integer_trials_are_validation_errors(self, trials):
+        with pytest.raises(ValidationError, match="trials must be an integer"):
+            verify_inequalities(3, trials, seed=0)
+
+    def test_numpy_integer_trials_accepted(self):
+        summary = verify_inequalities(3, np.int64(2), seed=0)
+        assert summary.trials == 2 and type(summary.trials) is int
+
     def test_n2_extremal_point_mass_found(self):
         summary = verify_inequalities(2, 100, seed=1)
         assert summary.extremal_ratio == 2.0

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from permchal.bounds import evaluate_bound
+from permchal import harness
+from permchal.attacks import ConstantGuessAdversary
+from permchal.bounds import BoundTheorem, evaluate_bound
 from permchal.errors import ContractViolation, ValidationError
 from permchal.games import (
+    GAME_ALIASES,
+    GAMES,
     GameKind,
     GameOracle,
     LazyPermutation,
@@ -90,6 +94,56 @@ class TestBuildGame:
     def test_unknown_kind_is_validation_error(self, kind):
         with pytest.raises(ValidationError, match="unknown game kind"):
             build_game(kind, 5)
+
+
+DESK_GAMES = (("DLOG", 7), ("DDH", 3), ("SQDDH", 5), ("EM_KR", 4), ("EM_KR_SINGLE", 8))
+
+
+class TestGameDeclarations:
+    """What each game class declares: its spaces, alias, ceiling and default guess."""
+
+    @pytest.mark.parametrize("kind,n", DESK_GAMES)
+    def test_spaces_match_their_counts_and_validation(self, kind, n):
+        g = build_game(kind, n)
+        queries = list(g.iter_outer_queries())
+        secrets = list(g.iter_secrets())
+        assert g.outer_query_count == len(queries) == len(set(queries))
+        assert g.secret_count == len(secrets) == len(set(secrets))
+        for m in queries:
+            g.validate_outer_query(m)
+        rng = trial_generator(3, 0)
+        assert all(g.sample_secret(rng) in secrets for _ in range(20))
+
+    @pytest.mark.parametrize("kind,n", DESK_GAMES)
+    def test_offset_class_leaders_are_an_ordered_subsequence(self, kind, n):
+        g = build_game(kind, n)
+        leaders = list(g._offset_class_leaders())
+        remaining = g.iter_outer_queries()
+        assert all(m in remaining for m in leaders)  # `in` consumes: order is kept
+        assert len(leaders) * n == g.outer_query_count  # one leader per class of n
+
+    def test_registry_aliases_and_theorems(self):
+        assert set(GAMES) == set(GameKind)
+        assert all(cls.kind == kind for kind, cls in GAMES.items())
+        assert GAME_ALIASES == {
+            "dlog": GameKind.DLOG,
+            "ddh": GameKind.DDH,
+            "sqddh": GameKind.SQDDH,
+            "em": GameKind.EM_KR,
+            "em1k": GameKind.EM_KR_SINGLE,
+        }
+        assert harness.GAME_ALIASES is GAME_ALIASES
+        assert {kind: cls.theorem for kind, cls in GAMES.items()} == {
+            GameKind.DLOG: BoundTheorem.T11,
+            GameKind.DDH: BoundTheorem.T12,
+            GameKind.SQDDH: BoundTheorem.T12,
+            GameKind.EM_KR: BoundTheorem.T13,
+            GameKind.EM_KR_SINGLE: BoundTheorem.T13,
+        }
+
+    def test_constant_guess_defaults(self):
+        values = [ConstantGuessAdversary(build_game(kind, n)).value for kind, n in DESK_GAMES]
+        assert values == [1, 0, 0, (1, 1), 1]
 
 
 class _ProductGame(PCGame):
