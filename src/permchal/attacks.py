@@ -16,9 +16,9 @@ Plus the multi-instance search game used to probe how colliding query
 sets determine later secrets. ``ATTACKS`` registers every attack class
 by name (see ``Attack``).
 
-Advice strings are literal '0'/'1' strings; each attack documents its
-own encoding. The engine enforces the declared length bound and the
-query budget.
+Advice strings are literal '0'/'1' strings; tables of fixed-width fields
+go through ``bits_encode_array`` / ``bits_decode_array``. The engine
+enforces the declared length bound and the query budget.
 """
 
 from __future__ import annotations
@@ -80,17 +80,26 @@ def bits_encode_array(values: np.ndarray, width: int) -> str:
     return (bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
-def bits_decode(bits: str) -> int:
-    return int(bits, 2) if bits else 0
+def bits_decode_array(bits: str, width: int) -> np.ndarray:
+    """The width-bit fields of ``bits`` as an int64 array; the inverse of
+    ``bits_encode_array``."""
+    digits = np.frombuffer(bits.encode("ascii"), dtype=np.uint8).reshape(-1, width) - ord("0")
+    return digits.astype(np.int64) @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
+
+
+def _field_width(n: int) -> int:
+    """Bits of one advice field holding a value in [0, n)."""
+    return max(1, (n - 1).bit_length())
+
+
+def _encoding_table(z: str, width: int) -> dict:
+    """Advice of (encoding - 1, exponent) field pairs as encoding -> exponent."""
+    fields = bits_decode_array(z, width).tolist()
+    return dict(zip([v + 1 for v in fields[0::2]], fields[1::2]))
 
 
 def _element(residue: int, n: int) -> int:
     return n if residue % n == 0 else residue % n
-
-
-def _slot(residue: int, n: int) -> int:
-    """Array slot of the element representing this residue."""
-    return (residue - 1) % n
 
 
 def _config(spec, **knobs) -> AttackConfig:
@@ -149,34 +158,18 @@ class BsgsAdversary(Attack, NonAdaptiveAdversary):
         self.m = cfg.m if cfg.m is not None else math.isqrt(cfg.n - 1) + 1
         if not (1 <= self.m <= cfg.n):
             raise ValidationError("table width m out of range")
-        self.width = max(1, (cfg.n - 1).bit_length())
-        required = self.m * 2 * self.width
-        s_bits = cfg.s_bits if cfg.s_bits is not None else required
-        if required > s_bits:
-            raise ValidationError(
-                f"table of {self.m} entries needs {required} advice bits, bound is {s_bits}"
-            )
-        super().__init__(s_bits, cfg.t_budget)
+        self.width = _field_width(cfg.n)
+        super().__init__(cfg.s_bits, cfg.t_budget, required=self.m * 2 * self.width)
         self.queries = [(1, _element(i * self.m, self.n)) for i in range(self.m)]
+        self._table_slots = (np.arange(self.m) - 1) % self.n
 
     def preprocess(self, sigma: np.ndarray) -> str:
-        entries = sorted(
-            (int(sigma[_slot(j, self.n)]), j) for j in range(self.m)
-        )
-        return "".join(
-            bits_encode(v - 1, self.width) + bits_encode(j, self.width) for v, j in entries
-        )
-
-    def _plan(self, z: str):
-        return [], list(self.queries)
+        values = sigma.take(self._table_slots)
+        j = np.argsort(values)  # sigma is injective: sorting values sorts (value, j)
+        return bits_encode_array(np.stack([values[j] - 1, j], axis=1), self.width)
 
     def decide(self, z: str, inner_answers, outer_answers):
-        w = self.width
-        table = {}
-        for pos in range(0, len(z), 2 * w):
-            v = bits_decode(z[pos : pos + w]) + 1
-            j = bits_decode(z[pos + w : pos + 2 * w])
-            table[v] = j
+        table = _encoding_table(z, self.width)
         for i, ans in enumerate(outer_answers):
             j = table.get(ans)
             if j is not None:
@@ -290,7 +283,7 @@ class ChainPreprocessingDlog(Attack, AdaptiveAdversary):
     def from_spec(cls, spec, game, trial_seed):
         if spec.s_bits is None:
             raise ValidationError("chains attack needs --s-bits to size the endpoint table")
-        chains = spec.s_bits // (2 * max(1, (spec.n - 1).bit_length()))
+        chains = spec.s_bits // (2 * _field_width(spec.n))
         if chains < 1:
             raise ValidationError("s_bits too small for a single chain endpoint")
         return cls(_config(spec, chains=chains, chain_length=spec.t))
@@ -305,17 +298,11 @@ class ChainPreprocessingDlog(Attack, AdaptiveAdversary):
         self.n = cfg.n
         self.chains = chains
         self.length = length
-        self.width = max(1, (cfg.n - 1).bit_length())
+        self.width = _field_width(cfg.n)
         self.walk_key = mix64(0xC4A1, cfg.seed)
         starts = [mix64(self.walk_key, 0x5747, c) % cfg.n for c in range(chains)]
         self._start_slots = (np.array(starts, dtype=np.int64) - 1) % cfg.n
-        required = chains * 2 * self.width
-        s_bits = cfg.s_bits if cfg.s_bits is not None else required
-        if required > s_bits:
-            raise ValidationError(
-                f"{chains} endpoints need {required} advice bits, bound is {s_bits}"
-            )
-        super().__init__(s_bits=s_bits, t_budget=cfg.t_budget)
+        super().__init__(cfg.s_bits, cfg.t_budget, required=chains * 2 * self.width)
 
     def _step_size(self, encoding: int) -> int:
         return 1 + mix64(self.walk_key, encoding) % (self.n - 1)
@@ -346,13 +333,10 @@ class ChainPreprocessingDlog(Attack, AdaptiveAdversary):
         return bits_encode_array(endpoints, self.width)
 
     def run(self, z: str, oracle):
-        n, w = self.n, self.width
+        n = self.n
         if oracle.remaining is not None and oracle.remaining < 1:
             return n  # no budget even for the challenge: bare guess
-        endpoints = {}
-        for pos in range(0, len(z), 2 * w):
-            enc = bits_decode(z[pos : pos + w]) + 1
-            endpoints[enc] = bits_decode(z[pos + w : pos + 2 * w])
+        endpoints = _encoding_table(z, self.width)
         offset = 0
         y = oracle.outer((1, n))  # sigma(d)
         while True:
@@ -415,15 +399,9 @@ class DaemenEmAdversary(Attack, NonAdaptiveAdversary):
         self.alpha = alpha
         self.beta = 1
         self.t2 = t2
-        self.width = max(1, (cfg.n - 1).bit_length())
-        self.stored = [x for x in range(half)] + [x ^ alpha for x in range(half)]
-        required = len(self.stored) * self.width
-        s_bits = cfg.s_bits if cfg.s_bits is not None else required
-        if required > s_bits:
-            raise ValidationError(
-                f"storing {len(self.stored)} values needs {required} bits, bound is {s_bits}"
-            )
-        super().__init__(s_bits, cfg.t_budget)
+        self.width = _field_width(cfg.n)
+        self.stored = list(range(half)) + [x ^ alpha for x in range(half)]
+        super().__init__(cfg.s_bits, cfg.t_budget, required=len(self.stored) * self.width)
         bases = [(r * self.t1) % cfg.n for r in range(t2 // 4)]
         self.queries = []
         for mb in bases:
@@ -431,16 +409,10 @@ class DaemenEmAdversary(Attack, NonAdaptiveAdversary):
                 self.queries.append(q + 1)
 
     def preprocess(self, sigma: np.ndarray) -> str:
-        return "".join(bits_encode(int(sigma[p]) - 1, self.width) for p in self.stored)
-
-    def _plan(self, z: str):
-        return [], list(self.queries)
+        return bits_encode_array(sigma.take(self.stored) - 1, self.width)
 
     def decide(self, z: str, inner_answers, outer_answers):
-        w = self.width
-        val = {}
-        for idx, p in enumerate(self.stored):
-            val[p] = bits_decode(z[idx * w : (idx + 1) * w])
+        val = dict(zip(self.stored, bits_decode_array(z, self.width).tolist()))
         half = self.t1 // 2
         table: dict = {}
         for x in range(half):
@@ -495,10 +467,7 @@ class SqddhMajorityAdversary(Attack, NonAdaptiveAdversary):
         buckets = cfg.buckets if cfg.buckets is not None else 8
         if buckets < 1:
             raise ValidationError("bucket count must be positive")
-        s_bits = cfg.s_bits if cfg.s_bits is not None else buckets
-        if buckets > s_bits:
-            raise ValidationError(f"{buckets} buckets need {buckets} advice bits")
-        super().__init__(s_bits, cfg.t_budget)
+        super().__init__(cfg.s_bits, cfg.t_budget, required=buckets)
         self.n = cfg.n
         self.t = cfg.t_budget
         self.buckets = buckets
@@ -531,9 +500,6 @@ class SqddhMajorityAdversary(Attack, NonAdaptiveAdversary):
         counts = np.bincount(bucket, minlength=self.buckets)
         return bits_encode_array(2 * ones >= counts, 1)  # ties and empty cells read 1
 
-    def _plan(self, z: str):
-        return [], list(self.queries)
-
     def decide(self, z: str, inner_answers, outer_answers):
         for i in range(0, len(outer_answers), 2):
             w1, w2 = outer_answers[i], outer_answers[i + 1]
@@ -565,9 +531,6 @@ class ConstantGuessAdversary(Attack, NonAdaptiveAdversary):
     def __init__(self, game: PCGame, value=None, t_budget: Optional[int] = None):
         super().__init__(s_bits=0, t_budget=t_budget)
         self.value = game.success_target(next(game.iter_secrets())) if value is None else value
-
-    def _plan(self, z: str):
-        return [], []
 
     def decide(self, z: str, inner_answers, outer_answers):
         return self.value
@@ -682,7 +645,7 @@ def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
         for a in coeff:
             u = (a * d) % n
             points.append(u)
-            answers.append(int(sigma[_slot(u, n)]))
+            answers.append(int(sigma[(u - 1) % n]))  # the slot of residue u
         if d != 0:
             base = int(dlog[d])
             exponents.extend((base + e) % (n - 1) for e in coeff_exp)

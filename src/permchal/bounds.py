@@ -63,6 +63,8 @@ def evaluate_bound(
 ) -> float:
     """Evaluate the selected ceiling; result clamped to [0, 1]."""
     theorem = BoundTheorem(theorem)
+    if not all(math.isfinite(v) for v in (n, s_bits, t, u, max_s) if v is not None):
+        raise ValidationError("n, s_bits, t, u and maxS must be finite")
     if n <= 0:
         raise ValidationError("n must be positive")
     if s_bits < 0 or t < 0:

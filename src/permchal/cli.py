@@ -236,11 +236,11 @@ def _cmd_bounds(args) -> int:
     t_values = [int(x) for x in args.t.split(",") if x]
     if not s_values or not t_values:
         raise ValidationError("bounds: need at least one S and one T value")
+    rows = [(s, t, evaluate_bound(args.theorem, args.n, s, t, u=args.u, max_s=args.max_s))
+            for s in s_values for t in t_values]  # all first: a rejected input prints nothing
     print("theorem,n,s_bits,t,bound")
-    for s in s_values:
-        for t in t_values:
-            value = evaluate_bound(args.theorem, args.n, s, t, u=args.u, max_s=args.max_s)
-            print(f"{args.theorem},{args.n},{s},{t},{value:.6f}")
+    for s, t, value in rows:
+        print(f"{args.theorem},{args.n},{s},{t},{value:.6f}")
     return EXIT_OK
 
 

@@ -483,11 +483,18 @@ def build_game(kind, n: int) -> PCGame:
 
 
 class _Adversary:
-    """Advice bound S and query budget T (None: unbounded) of either contract."""
+    """Advice bound S and query budget T (None: unbounded) of either contract.
 
-    def __init__(self, s_bits: int, t_budget: Optional[int] = None):
+    ``required`` is the advice length the attack's encoding needs; S
+    defaults to it, and a smaller S is a ``ValidationError``.
+    """
+
+    def __init__(self, s_bits: Optional[int], t_budget: Optional[int] = None, required: int = 0):
+        s_bits = required if s_bits is None else s_bits
         if s_bits < 0:
             raise ValidationError("s_bits must be non-negative")
+        if required > s_bits:
+            raise ValidationError(f"the advice encoding needs {required} bits, bound is {s_bits}")
         self.s_bits = s_bits
         self.t_budget = t_budget
 
@@ -498,17 +505,16 @@ class _Adversary:
 class NonAdaptiveAdversary(_Adversary):
     """Commits to all queries after seeing only the advice string.
 
-    Subclasses implement ``_plan`` and ``decide``. The engine arms the
-    adversary per trial; invoking ``plan`` more than once, or after
-    answers were delivered, is a contract violation, and so is a plan
-    of more than ``t_budget`` queries.
+    Subclasses implement ``decide`` and state a fixed plan of outer
+    queries as ``queries``, or override ``_plan`` when the plan depends
+    on the advice. The engine arms the adversary per trial; invoking
+    ``plan`` more than once, or after answers were delivered, is a
+    contract violation, and so is a plan of more than ``t_budget`` queries.
     """
 
     adaptive = False
-
-    def __init__(self, s_bits: int, t_budget: Optional[int] = None):
-        super().__init__(s_bits, t_budget)
-        self._phase = "idle"
+    queries = ()
+    _phase = "idle"
 
     def plan(self, z: str):
         if self._phase != "ready":
@@ -519,7 +525,7 @@ class NonAdaptiveAdversary(_Adversary):
         return self._plan(z)
 
     def _plan(self, z: str):
-        raise NotImplementedError
+        return [], list(self.queries)
 
     def decide(self, z: str, inner_answers: tuple, outer_answers: tuple):
         raise NotImplementedError

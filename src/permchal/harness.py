@@ -95,10 +95,12 @@ class ExperimentSpec:
             raise ValidationError(f"unknown attack {self.attack!r}")
         if self.kind not in ATTACKS[self.attack].games:
             raise ValidationError(f"attack {self.attack!r} does not apply to game {self.game!r}")
+        for field in ("n", "t", "trials", "master_seed", "s_bits"):
+            if field != "s_bits" or self.s_bits is not None:
+                value = nonnegative_int(getattr(self, field), f"ExperimentSpec: {field}")
+                object.__setattr__(self, field, value)  # a Python int, also from numpy input
         if self.trials < 1:
             raise ValidationError("trials must be at least 1")
-        if self.t < 0:
-            raise ValidationError("t must be non-negative")
 
     @property
     def kind(self) -> GameKind:
@@ -335,6 +337,7 @@ def verify_inequalities(n: int, random_trials: int, seed: int) -> InequalitySumm
     inequality; also runs the extremal ratio search on singleton covers.
     trials = 0 yields an empty summary.
     """
+    n = nonnegative_int(n, "verify_inequalities: n")
     if not 2 <= n <= RATIO_SEARCH_MAX_N:
         raise ValidationError(f"verify_inequalities: need 2 <= n <= {RATIO_SEARCH_MAX_N}")
     random_trials = nonnegative_int(random_trials, "verify_inequalities: trials")

@@ -5,7 +5,9 @@ import pytest
 
 from permchal.attacks import (
     AttackConfig,
+    bits_decode_array,
     bits_encode,
+    bits_encode_array,
     bsgs_adversary,
     chain_preprocessing_dlog,
     constant_guess_adversary,
@@ -41,6 +43,18 @@ def _reference_chain_preprocess(adv, sigma):
     return "".join(out), merged
 
 
+def _reference_bsgs_preprocess(adv, sigma):
+    """BSGS advice entry by entry: the (sigma(j), j) rows sorted, each field
+    written by the scalar ``bits_encode``."""
+    rows = sorted((int(sigma[(j - 1) % adv.n]), j) for j in range(adv.m))
+    return "".join(bits_encode(v - 1, adv.width) + bits_encode(j, adv.width) for v, j in rows)
+
+
+def _reference_daemen_preprocess(adv, sigma):
+    """Difference-table advice one scalar read and ``bits_encode`` per stored point."""
+    return "".join(bits_encode(int(sigma[p]) - 1, adv.width) for p in adv.stored)
+
+
 def _reference_sqddh_preprocess(adv, sigma):
     """Majority advice with the gather indices built per call and the
     advice joined bucket by bucket."""
@@ -65,6 +79,56 @@ def _success_rate(game, adversary, trials, master, adversary_factory=None):
         adv = adversary_factory(i) if adversary_factory else adversary
         wins += play_game(game, adv, sigma, secret).success
     return wins / trials
+
+
+class TestAdviceEncoding:
+    @pytest.mark.parametrize("width", [1, 10, 13])
+    @pytest.mark.parametrize("count", [0, 1, 9])
+    def test_decode_inverts_encode(self, width, count):
+        rng = np.random.Generator(np.random.PCG64(100 * width + count))
+        values = rng.integers(0, 1 << width, size=count)
+        if count > 1:
+            values[:2] = 0, (1 << width) - 1  # both extremes
+        bits = bits_encode_array(values, width)
+        assert bits == "".join(bits_encode(int(v), width) for v in values)
+        decoded = bits_decode_array(bits, width)
+        assert decoded.dtype == np.int64 and decoded.tolist() == values.tolist()
+
+    @pytest.mark.parametrize("n", [2, 5, 101, 1009])
+    def test_bsgs_advice_matches_the_per_entry_encoding(self, n):
+        rng = np.random.Generator(np.random.PCG64(n))
+        for m in sorted({1, math.isqrt(n - 1) + 1, n}):
+            adv = bsgs_adversary(AttackConfig(n=n, t_budget=m, m=m))
+            for _ in range(3):
+                sigma = random_sigma(rng, n)
+                assert adv.preprocess(sigma) == _reference_bsgs_preprocess(adv, sigma)
+
+    @pytest.mark.parametrize("n,t", [(16, 4), (1024, 16), (1024, 64), (4096, 8)])
+    def test_daemen_advice_matches_the_per_entry_encoding(self, n, t):
+        rng = np.random.Generator(np.random.PCG64(n + t))
+        adv = daemen_em_adversary(AttackConfig(n=n, t_budget=t))
+        for _ in range(3):
+            sigma = random_sigma(rng, n)
+            assert adv.preprocess(sigma) == _reference_daemen_preprocess(adv, sigma)
+
+    @pytest.mark.parametrize(
+        "attack,knobs,required",
+        [
+            (bsgs_adversary, dict(n=101, t_budget=11, m=11), 11 * 2 * 7),
+            (chain_preprocessing_dlog, dict(n=101, t_budget=8, chains=3), 3 * 2 * 7),
+            (daemen_em_adversary, dict(n=1024, t_budget=16, table_budget=64), 64 * 10),
+            (sqddh_nonadaptive_adversary, dict(n=127, t_budget=8, buckets=16), 16),
+        ],
+        ids=["bsgs", "chains", "daemen", "sqddh-majority"],
+    )
+    def test_s_bits_defaults_to_the_encoded_length(self, attack, knobs, required):
+        adv = attack(AttackConfig(**knobs))
+        assert adv.s_bits == required
+        sigma = random_sigma(np.random.Generator(np.random.PCG64(required)), knobs["n"])
+        assert len(adv.preprocess(sigma)) == required
+        assert attack(AttackConfig(**knobs, s_bits=required + 1)).s_bits == required + 1
+        with pytest.raises(ValidationError, match=f"needs {required} bits"):
+            attack(AttackConfig(**knobs, s_bits=required - 1))
 
 
 class TestBsgs:

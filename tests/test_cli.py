@@ -220,12 +220,29 @@ class TestOtherCommands:
         [
             ("shearer", "--n", "3", "--trials", "2", "--seed", "-1"),
             ("mi", "--n", "101", "--t", "10", "--seed", "-1"),
+            ("game", "--game", "dlog", "--attack", "guess", "--n", "101", "--t", "5",
+             "--trials", "3", "--seed", "-1"),
+            ("sweep", "--config", "{config}"),
         ],
     )
-    def test_negative_seed_exit_code(self, capsys, argv):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 2
+    def test_negative_seed_exit_code(self, tmp_path, capsys, argv):
+        # a negative seed would share its trial streams with seed + 2**64
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(
+            [{"game": "dlog", "attack": "guess", "n": 101, "t": 5, "trials": 3, "seed": -1}]
+        ))
+        code, out, err = run_cli(capsys, *(a.format(config=config) for a in argv))
+        assert code == 2 and out == ""
         assert "seed must be non-negative" in err
+
+    def test_negative_s_bits_exit_code(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "game", "--game", "dlog", "--attack", "mi", "--n", "101", "--t", "10",
+            "--trials", "1", "--s-bits", "-5",
+        )
+        assert code == 2 and out == ""
+        assert "s_bits must be non-negative" in err
 
     def test_negative_guess_count_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "mi", "--n", "101", "--t", "10", "--guess-count", "-3")
@@ -257,3 +274,13 @@ class TestOtherCommands:
             capsys, "bounds", "--theorem", "T41", "--n", "101", "--s-bits", "8", "--t", "4"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--theorem", "T11", "--max-s", "nan"), ("--theorem", "T41", "--u", "nan", "--max-s", "0.1")],
+        ids=["max-s-nan", "u-nan"],
+    )
+    def test_bounds_non_finite_input_exit_code(self, capsys, flags):
+        code, out, err = run_cli(capsys, "bounds", "--n", "101", "--s-bits", "10", "--t", "5", *flags)
+        assert code == 2 and out == ""
+        assert "must be finite" in err

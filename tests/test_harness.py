@@ -119,6 +119,18 @@ class TestRunTrials:
         assert serial.successes == parallel.successes
         assert serial.csv_row() == parallel.csv_row()
 
+    @pytest.mark.parametrize("field", ["n", "t", "trials"])
+    def test_float_sizes_are_validation_errors(self, field):
+        kwargs = dict(game="dlog", attack="bsgs", n=101, t=11, trials=5)
+        kwargs[field] = float(kwargs[field])
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            ExperimentSpec(**kwargs)
+
+    def test_numpy_integers_stored_as_python_ints(self):
+        spec = ExperimentSpec("dlog", "bsgs", *map(np.int64, (101, 11, 5, 2, 300)))
+        assert spec == ExperimentSpec("dlog", "bsgs", 101, 11, 5, 2, 300)
+        assert {type(v) for v in (spec.n, spec.t, spec.trials, spec.master_seed, spec.s_bits)} == {int}
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
         spec = ExperimentSpec(game="dlog", attack="bsgs", n=11, t=3, trials=4)
@@ -295,6 +307,10 @@ class TestVerifyInequalities:
     def test_non_integer_trials_are_validation_errors(self, trials):
         with pytest.raises(ValidationError, match="trials must be an integer"):
             verify_inequalities(3, trials, seed=0)
+
+    def test_non_integer_n_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            verify_inequalities(2.5, 2, seed=0)
 
     def test_numpy_integer_trials_accepted(self):
         summary = verify_inequalities(3, np.int64(2), seed=0)

@@ -829,5 +829,14 @@ class TestEvaluateBound:
         with pytest.raises(ValueError):
             evaluate_bound("T99", 101, 1, 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("argument", ["n", "s_bits", "t", "u", "max_s"])
+    def test_non_finite_inputs_rejected(self, argument, bad):
+        # nan compares false everywhere, so unchecked it would clamp to a ceiling of 0
+        kwargs = dict(theorem="T41", n=101, s_bits=10, t=5, u=101.0, max_s=0.1)
+        kwargs[argument] = bad
+        with pytest.raises(ValidationError, match="must be finite"):
+            evaluate_bound(**kwargs)
+
     def test_clamped_to_unit_interval(self):
         assert evaluate_bound("T11", 11, 1000, 1000) == 1.0
