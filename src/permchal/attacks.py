@@ -310,16 +310,16 @@ class ChainPreprocessingDlog(Attack, AdaptiveAdversary):
     def preprocess(self, sigma: np.ndarray) -> str:
         # every chain advances one step per iteration on one batched sigma
         # read; the step is _step_size, as mix64(walk_key, e) = splitmix64(K ^ e).
+        # K is mixed once here: mix64_array would mix it again every step.
         # The walk tracks slots, slot = exponent - 1 mod n.
         n, modulus = self.n, np.uint64(self.n - 1)
         key = np.uint64(splitmix64(self.walk_key))
         path = np.empty((self.chains, self.length + 1), dtype=np.int64)
         path[:, 0] = slot = self._start_slots
-        with np.errstate(over="ignore"):
-            for i in range(1, self.length + 1):
-                enc = sigma.take(slot).view(np.uint64)
-                slot = (slot + 1 + (splitmix64_array(key ^ enc) % modulus).astype(np.int64)) % n
-                path[:, i] = slot
+        for i in range(1, self.length + 1):
+            enc = sigma.take(slot).view(np.uint64)
+            slot = (slot + 1 + (splitmix64_array(key ^ enc) % modulus).astype(np.int64)) % n
+            path[:, i] = slot
         # chains that reach an exponent an earlier chain visited, at any
         # offset, follow its walk from there and shrink coverage; reported
         # for diagnostics, not fatal. Sorted by (slot, chain), the visits of
@@ -519,7 +519,7 @@ class SqddhMajorityAdversary(Attack, NonAdaptiveAdversary):
 class ConstantGuessAdversary(Attack, NonAdaptiveAdversary):
     """Zero queries, constant output; the floor every attack must beat.
 
-    The output defaults to the target of the game's first secret."""
+    The output is the target of the game's first secret."""
 
     name = "guess"
     games = frozenset(GameKind)
@@ -528,9 +528,9 @@ class ConstantGuessAdversary(Attack, NonAdaptiveAdversary):
     def from_spec(cls, spec, game, trial_seed):
         return cls(game, t_budget=spec.t)
 
-    def __init__(self, game: PCGame, value=None, t_budget: Optional[int] = None):
+    def __init__(self, game: PCGame, t_budget: Optional[int] = None):
         super().__init__(s_bits=0, t_budget=t_budget)
-        self.value = game.success_target(next(game.iter_secrets())) if value is None else value
+        self.value = game.success_target(next(game.iter_secrets()))
 
     def decide(self, z: str, inner_answers, outer_answers):
         return self.value

@@ -28,6 +28,7 @@ from .games import build_game, measure_uniformity
 from .harness import (
     GAME_ALIASES,
     ExperimentSpec,
+    build_adversary,
     check_bound_assertions,
     csv_writer,
     run_trials,
@@ -36,13 +37,14 @@ from .harness import (
     write_csv,
     write_json,
 )
+from .seeding import derive_trial_seed
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONTRACT = 3
 EXIT_ASSERT = 4
 
-_SPEC_KEYS = {"game", "attack", "n", "s_bits", "t", "trials", "seed", "theorem"}
+_SPEC_KEYS = {"game", "attack", "n", "s_bits", "t", "trials", "seed"}
 
 
 def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
@@ -53,7 +55,6 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--theorem", default=None, help="bound selector; default auto per game")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -62,6 +63,14 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--timing", action="store_true", help="write measured wall clock into the CSV (breaks byte-reproducibility)")
     p.add_argument("--assert", dest="assert_bounds", action="store_true", help="exit 4 if any non-adaptive row exceeds its ceiling")
+
+
+def _int_list(text: str) -> list:
+    """Comma-separated integers, as an argparse type: a bad entry exits 2."""
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,26 +107,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_b = sub.add_parser("bounds", help="print the ceiling over an S/T grid")
     p_b.add_argument("--theorem", required=True, choices=[t.value for t in BoundTheorem])
     p_b.add_argument("--n", type=int, required=True)
-    p_b.add_argument("--s-bits", required=True, help="comma-separated advice sizes")
-    p_b.add_argument("--t", required=True, help="comma-separated query budgets")
+    p_b.add_argument("--s-bits", type=_int_list, required=True, help="comma-separated advice sizes")
+    p_b.add_argument("--t", type=_int_list, required=True, help="comma-separated query budgets")
     p_b.add_argument("--u", type=float, default=None)
     p_b.add_argument("--max-s", type=float, default=None)
 
     return parser
 
 
-def _spec_from_mapping(entry: dict, index: int) -> ExperimentSpec:
+def _spec_from_mapping(entry, index: int) -> ExperimentSpec:
+    """One sweep config entry as a spec whose adversary builds; errors name the entry."""
+    where = f"config entry {index}"
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{where}: must be a JSON object, not {entry!r}")
     normalized = {}
     for key, value in entry.items():
         key = key.replace("-", "_")
         if key not in _SPEC_KEYS:
-            raise ValidationError(f"config entry {index}: unknown key {key!r}")
+            raise ValidationError(f"{where}: unknown key {key!r}")
+        if key in normalized:
+            raise ValidationError(f"{where}: key {key!r} given twice")
         normalized[key] = value
     missing = {"game", "attack", "n", "t", "trials"} - set(normalized)
     if missing:
-        raise ValidationError(f"config entry {index}: missing keys {sorted(missing)}")
+        raise ValidationError(f"{where}: missing keys {sorted(missing)}")
     seed = normalized.pop("seed", 0)
-    return ExperimentSpec(master_seed=seed, **normalized)
+    try:
+        spec = ExperimentSpec(master_seed=seed, **normalized)
+        build_adversary(spec, build_game(spec.kind, spec.n), derive_trial_seed(spec.master_seed, 0))
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+    return spec
 
 
 def _load_sweep_config(path: str) -> list:
@@ -154,12 +174,10 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    specs = _load_sweep_config(args.config)
     # reject what fails before any row, so an invalid sweep leaves --out untouched
+    specs = _load_sweep_config(args.config)
     if args.jobs < 1:
         raise ValidationError("jobs must be at least 1")
-    for spec in specs:
-        build_game(spec.kind, spec.n)
     with ExitStack() as stack:
         fh = _output(args, stack)
         # CSV rows stream out as each spec completes; JSON is written at the end
@@ -232,12 +250,10 @@ def _cmd_mi(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    s_values = [int(x) for x in args.s_bits.split(",") if x]
-    t_values = [int(x) for x in args.t.split(",") if x]
-    if not s_values or not t_values:
+    if not args.s_bits or not args.t:
         raise ValidationError("bounds: need at least one S and one T value")
     rows = [(s, t, evaluate_bound(args.theorem, args.n, s, t, u=args.u, max_s=args.max_s))
-            for s in s_values for t in t_values]  # all first: a rejected input prints nothing
+            for s in args.s_bits for t in args.t]  # all first: a rejected input prints nothing
     print("theorem,n,s_bits,t,bound")
     for s, t, value in rows:
         print(f"{args.theorem},{args.n},{s},{t},{value:.6f}")

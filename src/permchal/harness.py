@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .attacks import ATTACKS, run_mi_game
-from .bounds import BoundTheorem, evaluate_bound
+from .bounds import evaluate_bound
 from .errors import ValidationError, nonnegative_int
 from .games import GAME_ALIASES, GAMES, GameKind, build_game, play_game, random_sigma
 from .seeding import derive_trial_seed, seeded_generator, trial_generator
@@ -86,12 +86,11 @@ class ExperimentSpec:
     trials: int
     master_seed: int = 0
     s_bits: Optional[int] = None
-    theorem: Optional[str] = None  # None/"auto" resolves per game kind
 
     def __post_init__(self):
-        if self.game not in GAME_ALIASES:
+        if not isinstance(self.game, str) or self.game not in GAME_ALIASES:
             raise ValidationError(f"unknown game {self.game!r}")
-        if self.attack not in ATTACKS:
+        if not isinstance(self.attack, str) or self.attack not in ATTACKS:
             raise ValidationError(f"unknown attack {self.attack!r}")
         if self.kind not in ATTACKS[self.attack].games:
             raise ValidationError(f"attack {self.attack!r} does not apply to game {self.game!r}")
@@ -118,7 +117,6 @@ class ExperimentReport:
     bound_theorem: str
     bound_value: Optional[float]
     seconds: float
-    seed_note: str = SEED_NOTE
 
     def csv_row(self, timing: bool = False) -> list:
         return [
@@ -149,34 +147,13 @@ class ExperimentReport:
             bound_theorem=self.bound_theorem,
             bound_value=self.bound_value,
             seconds=self.seconds,
-            seed_note=self.seed_note,
+            seed_note=SEED_NOTE,
         )
         return d
 
 
 def build_adversary(spec: ExperimentSpec, game, trial_seed: int = 0):
     return ATTACKS[spec.attack].from_spec(spec, game, trial_seed)
-
-
-def resolve_theorem(spec: ExperimentSpec) -> Optional[BoundTheorem]:
-    if spec.theorem == "none":
-        return None
-    if ATTACKS[spec.attack].own_game:
-        if spec.theorem not in (None, "auto"):
-            raise ValidationError(f"attack {spec.attack!r} plays its own game and has no bound theorem")
-        return None
-    expected = GAMES[spec.kind].theorem
-    if spec.theorem in (None, "auto"):
-        return expected
-    try:
-        theorem = BoundTheorem(spec.theorem)
-    except ValueError:
-        raise ValidationError(f"unknown theorem {spec.theorem!r}") from None
-    if theorem != expected:
-        raise ValidationError(
-            f"theorem {theorem.value} does not apply to game {spec.game!r}; expected {expected.value}"
-        )
-    return theorem
 
 
 def _run_chunk(spec: ExperimentSpec, lo: int, hi: int) -> int:
@@ -204,10 +181,11 @@ def run_trials(spec: ExperimentSpec, jobs: int = 1, *,
 
     Each trial samples a fresh uniform permutation (Fisher-Yates under
     the trial stream) and a fresh uniform secret, then plays the game.
-    The report attaches the applicable ceiling at the attack's declared
-    advice length and the experiment's t. On ``pool`` the trials run in
-    chunks of ``ceil(trials / (jobs * 4))``; without one, ``jobs > 1``
-    opens a ``jobs``-worker pool for this call alone.
+    The report attaches the game's ceiling (none for an attack that
+    plays its own game) at the attack's declared advice length and the
+    experiment's t. On ``pool`` the trials run in chunks of
+    ``ceil(trials / (jobs * 4))``; without one, ``jobs > 1`` opens a
+    ``jobs``-worker pool for this call alone.
     """
     if jobs < 1:
         raise ValidationError("jobs must be at least 1")
@@ -215,7 +193,7 @@ def run_trials(spec: ExperimentSpec, jobs: int = 1, *,
         with ProcessPoolExecutor(max_workers=jobs) as own:
             return run_trials(spec, jobs, pool=own)
     start = time.perf_counter()
-    theorem = resolve_theorem(spec)
+    theorem = None if ATTACKS[spec.attack].own_game else GAMES[spec.kind].theorem
     game = build_game(spec.kind, spec.n)
     declared_bits = build_adversary(spec, game, derive_trial_seed(spec.master_seed, 0)).s_bits
 

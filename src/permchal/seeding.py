@@ -56,11 +56,13 @@ def mix64(key: int, *values: int) -> int:
 
 
 def mix64_array(key: int, *columns: np.ndarray) -> np.ndarray:
-    """Keyed avalanche applied elementwise to aligned uint64 columns."""
+    """Keyed avalanche applied elementwise to aligned integer columns.
+
+    The columns are arrays of at least one dimension, whose uint64
+    arithmetic wraps without an overflow warning."""
     acc = np.uint64(splitmix64(key & _MASK64))
-    with np.errstate(over="ignore"):
-        for col in columns:
-            acc = splitmix64_array(acc ^ col.astype(np.uint64, copy=False))
+    for col in columns:
+        acc = splitmix64_array(acc ^ col.astype(np.uint64, copy=False))
     return acc
 
 

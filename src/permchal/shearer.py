@@ -1,15 +1,16 @@
 """Distributions over bijections and exhaustive checks of Shearer-type bounds.
 
 Everything here is exact (up to double precision) at small domain size:
-a distribution over bijections [n] -> X is stored as an explicit mass
+a distribution over bijections of range(n) is stored as an explicit mass
 vector over all n! permutations in Lehmer rank order, marginals are
 computed by aggregating that vector, and each inequality is evaluated as
 a *gap* (bound side minus dominated side) that callers assert to be
 non-negative.
 
 Coordinates are 0-based: a cover is a family of subsets of
-``range(n)``, and a bijection maps coordinate ``i`` to
-``codomain[perm[i]]`` where ``perm`` is the rank-``r`` permutation.
+``range(n)``, and a bijection maps coordinate ``i`` to ``perm[i]``
+where ``perm`` is the rank-``r`` permutation. The verified divergences
+do not change when the codomain is relabelled, so it is ``range(n)``.
 
 The verified inequalities, with Q always uniform over its space:
 
@@ -51,38 +52,31 @@ HILL_CLIMB_STEPS = 200
 
 @dataclass(frozen=True, eq=False)
 class BijectionDistribution:
-    """Probability mass over all n! bijections [n] -> codomain.
+    """Probability mass over all n! bijections of range(n).
 
     ``mass[r]`` is the probability of the bijection whose permutation
     word has Lehmer rank ``r``.
     """
 
     n: int
-    codomain: tuple
     mass: np.ndarray
 
     def __post_init__(self):
         check_enum_size(self.n, "BijectionDistribution")
-        codomain = tuple(self.codomain)
-        if len(codomain) != self.n or len(set(codomain)) != self.n:
-            raise ValidationError("BijectionDistribution: codomain must have n distinct labels")
         arr = _as_mass_array(self.mass, "BijectionDistribution", (math.factorial(self.n),))
-        object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "mass", arr)
 
     @classmethod
-    def uniform(cls, n: int, codomain: Sequence | None = None) -> "BijectionDistribution":
-        codomain = tuple(codomain) if codomain is not None else tuple(range(n))
+    def uniform(cls, n: int) -> "BijectionDistribution":
         f = math.factorial(n)
-        return cls(n, codomain, np.full(f, 1.0 / f))
+        return cls(n, np.full(f, 1.0 / f))
 
     @classmethod
-    def point_mass(cls, perm: Sequence[int], codomain: Sequence | None = None) -> "BijectionDistribution":
+    def point_mass(cls, perm: Sequence[int]) -> "BijectionDistribution":
         n = len(perm)
-        codomain = tuple(codomain) if codomain is not None else tuple(range(n))
         mass = np.zeros(math.factorial(n))
         mass[permutation_rank(perm)] = 1.0
-        return cls(n, codomain, mass)
+        return cls(n, mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +85,7 @@ class CoverFamily:
 
     n: int
     sets: tuple
-    k: int = field(default=-1)
+    k: int = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -107,13 +101,7 @@ class CoverFamily:
         for s in sets:
             for i in s:
                 multiplicity[i] += 1
-        computed = max(multiplicity, default=0) if multiplicity else 0
-        if self.k == -1:
-            object.__setattr__(self, "k", computed)
-        elif self.k != computed:
-            raise ValidationError(
-                f"CoverFamily: declared k={self.k} but recomputed max multiplicity is {computed}"
-            )
+        object.__setattr__(self, "k", max(multiplicity))
         object.__setattr__(self, "sets", sets)
 
 
@@ -143,22 +131,16 @@ class ReadKFunction:
 
 @dataclass(frozen=True, eq=False)
 class ReadKFamily:
-    """Read-k functions on bijections [n] -> X; each holds perm(n, |deps|) values."""
+    """Read-k functions on bijections of range(n); each holds perm(n, |deps|) values."""
 
     n: int
     functions: tuple
-    k: int = field(default=-1)
+    k: int = field(init=False)
 
     def __post_init__(self):
         check_enum_size(self.n, "ReadKFamily")
         functions = tuple(self.functions)
-        cover = CoverFamily(self.n, tuple(f.dependencies for f in functions))
-        if self.k == -1:
-            object.__setattr__(self, "k", cover.k)
-        elif self.k != cover.k:
-            raise ValidationError(
-                f"ReadKFamily: declared k={self.k} but dependency multiplicity is {cover.k}"
-            )
+        object.__setattr__(self, "k", CoverFamily(self.n, tuple(f.dependencies for f in functions)).k)
         for f in functions:
             if f.values.size != math.perm(self.n, len(f.dependencies)):
                 raise ValidationError("ReadKFamily: a function needs perm(n, |dependencies|) values")
@@ -182,12 +164,9 @@ def _projection(n: int, coords: tuple) -> tuple:
     return inverse, len(uniq)
 
 
-def _injective_labels(n: int, codomain: tuple, coords: tuple) -> list:
+def _injective_labels(n: int, coords: tuple) -> list:
     """Injective value tuples in the order matching _projection bins."""
-    return [
-        tuple(codomain[i] for i in idx)
-        for idx in itertools.permutations(range(n), len(coords))
-    ]
+    return list(itertools.permutations(range(n), len(coords)))
 
 
 def _kl_vs_uniform(mass: np.ndarray, count: int) -> float:
@@ -203,7 +182,7 @@ def _marginal_mass(p: BijectionDistribution, coords: tuple) -> np.ndarray:
 def marginal_distribution(p: BijectionDistribution, u: Iterable) -> FiniteDistribution:
     """Distribution of the coordinate vector (X_i for i in u), sorted-u order.
 
-    The support enumerates *all* injective |u|-tuples over the codomain
+    The support enumerates *all* injective |u|-tuples of range(n)
     (zero-mass tuples included) so that divergences against the uniform
     marginal are directly computable.
     """
@@ -213,7 +192,7 @@ def marginal_distribution(p: BijectionDistribution, u: Iterable) -> FiniteDistri
     if not coords:
         return FiniteDistribution(((),), np.array([1.0]))
     mass = _marginal_mass(p, coords)
-    labels = _injective_labels(p.n, p.codomain, coords)
+    labels = _injective_labels(p.n, coords)
     # Aggregated masses of a valid distribution stay normalized.
     return FiniteDistribution(tuple(labels), mass)
 
@@ -466,7 +445,7 @@ def extremal_ratio_search(
                 if rho > best_ratio:
                     best_ratio, best_mass = rho, mass.copy()
 
-    witness = BijectionDistribution(n, tuple(range(n)), best_mass / best_mass.sum())
+    witness = BijectionDistribution(n, best_mass / best_mass.sum())
     return ExtremalSearchResult(best_ratio, witness, evaluations)
 
 
@@ -475,7 +454,7 @@ def random_bijection_distribution(
 ) -> BijectionDistribution:
     """Symmetric-Dirichlet random distribution; full support avoids infinite KL."""
     mass = rng.dirichlet(np.full(math.factorial(n), concentration))
-    return BijectionDistribution(n, tuple(range(n)), mass / mass.sum())
+    return BijectionDistribution(n, mass / mass.sum())
 
 
 def random_cover(rng: np.random.Generator, n: int, max_sets: int = 6) -> CoverFamily:

@@ -310,6 +310,7 @@ class TestChainPreprocessing:
         assert any(merged > 0 and same_end == 0 for merged, same_end in counts), counts
 
 
+    @pytest.mark.filterwarnings("error")  # uint64 array arithmetic wraps silently
     @pytest.mark.parametrize("n,chains,length", [(101, 8, 8), (1009, 32, 16), (1009, 64, 40)])
     def test_batched_walk_matches_the_scalar_reference(self, n, chains, length):
         # all chains in lockstep over batched reads: the same advice and

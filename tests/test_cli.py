@@ -59,14 +59,15 @@ class TestGameCommand:
         assert code == 2
         assert "prime" in err
 
-    def test_unknown_theorem_exit_code(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "game", "--game", "dlog", "--attack", "bsgs",
-            "--n", "11", "--t", "3", "--trials", "2", "--theorem", "bogus",
-        )
-        assert code == 2
-        assert "unknown theorem 'bogus'" in err
+    def test_theorem_flag_rejected(self, capsys):
+        # the ceiling is the game's own; there is no per-run selector
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "game", "--game", "dlog", "--attack", "bsgs",
+                "--n", "11", "--t", "3", "--trials", "2", "--theorem", "T11",
+            ])
+        assert exc.value.code == 2
+        assert "--theorem" in capsys.readouterr().err
 
     def test_assert_mode_flags_vacuous_bound_violation(self, capsys):
         # at t=0 the plugged-in no-advice ceiling is 0, below the guess rate
@@ -178,8 +179,13 @@ class TestSweepCommand:
         [
             ("0", {"game": "dlog", "attack": "bsgs", "n": 11, "t": 3, "trials": 5}),
             ("1", {"game": "dlog", "attack": "bsgs", "n": 12, "t": 3, "trials": 5}),
+            ("1", {"game": "dlog", "attack": "bsgs", "n": 11, "t": 3, "trials": 5, "theorem": "T11"}),
+            ("1", {"game": "dlog", "attack": "chains", "n": 11, "t": 3, "trials": 5}),
+            ("1", {"game": "dlog", "attack": "bsgs", "n": 11, "t": 12, "trials": 5}),
+            ("1", {"game": "dlog", "attack": "bsgs", "n": 11, "t": 3, "trials": 5, "s_bits": 1}),
         ],
-        ids=["jobs-0", "non-prime-n"],
+        ids=["jobs-0", "non-prime-n", "theorem-key", "chains-without-s-bits", "bsgs-t-above-n",
+             "s-bits-below-the-encoding"],
     )
     def test_invalid_sweep_leaves_out_untouched(self, tmp_path, capsys, jobs, entry):
         cfg = self._config(
@@ -192,6 +198,27 @@ class TestSweepCommand:
         )
         assert code == 2
         assert out_path.read_text() == "previous run\n"
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            (1, "config entry 1: must be a JSON object"),
+            ({"game": ["dlog"], "attack": "bsgs", "n": 11, "t": 3, "trials": 5},
+             "config entry 1: unknown game ['dlog']"),
+            ({"game": "dlog", "attack": ["bsgs"], "n": 11, "t": 3, "trials": 5},
+             "config entry 1: unknown attack ['bsgs']"),
+            ({"game": "dlog", "attack": "bsgs", "n": 11, "t": 3, "trials": 5, "s-bits": 200, "s_bits": 300},
+             "config entry 1: key 's_bits' given twice"),
+        ],
+        ids=["not-an-object", "list-game", "list-attack", "keys-normalising-to-one"],
+    )
+    def test_malformed_entry_is_a_validation_error(self, tmp_path, capsys, entry, message):
+        cfg = self._config(
+            tmp_path, [{"game": "dlog", "attack": "bsgs", "n": 11, "t": 3, "trials": 5}, entry]
+        )
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 2 and out == ""
+        assert message in err
 
 
 class TestOtherCommands:
@@ -268,6 +295,15 @@ class TestOtherCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "theorem,n,s_bits,t,bound"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("flags", [("--s-bits", "8,x", "--t", "4"), ("--s-bits", "8", "--t", "1.5")],
+                             ids=["s-bits-8-x", "t-1.5"])
+    def test_bounds_non_integer_list_exit_code(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "--theorem", "T11", "--n", "1009", *flags])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not a comma-separated list of integers" in err
 
     def test_bounds_requires_u_for_generic_theorem(self, capsys):
         code, _, err = run_cli(

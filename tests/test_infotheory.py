@@ -46,7 +46,7 @@ class TestFiniteDistribution:
 MASS_BUILDERS = [
     pytest.param(lambda mass: FiniteDistribution(("a", "b"), mass), id="finite"),
     pytest.param(lambda mass: JointDistribution(("x",), (("a", "b"),), mass), id="joint"),
-    pytest.param(lambda mass: BijectionDistribution(2, (0, 1), mass), id="bijection"),
+    pytest.param(lambda mass: BijectionDistribution(2, mass), id="bijection"),
 ]
 
 

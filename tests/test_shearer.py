@@ -64,11 +64,9 @@ class TestPermutationRanking:
 class TestBijectionDistribution:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            BijectionDistribution(3, (0, 1), np.full(6, 1 / 6))
+            BijectionDistribution(3, np.full(5, 0.2))
         with pytest.raises(ValidationError):
-            BijectionDistribution(3, (0, 1, 2), np.full(5, 0.2))
-        with pytest.raises(ValidationError):
-            BijectionDistribution(9, tuple(range(9)), np.full(362880, 1 / 362880))
+            BijectionDistribution(9, np.full(362880, 1 / 362880))
 
     def test_point_mass(self):
         p = BijectionDistribution.point_mass((2, 0, 1))
@@ -121,10 +119,6 @@ class TestCoverFamily:
     def test_k_recomputed(self):
         c = CoverFamily(3, (frozenset([0, 1]), frozenset([1, 2]), frozenset([1])))
         assert c.k == 3
-
-    def test_declared_k_checked(self):
-        with pytest.raises(ValidationError):
-            CoverFamily(3, (frozenset([0]),), k=2)
 
     def test_empty_sets_allowed(self):
         assert CoverFamily(3, (frozenset(),)).k == 0
@@ -246,14 +240,6 @@ class TestReadKConcentrationGap:
         # dependencies {0, 1} at n = 3 need perm(3, 2) = 6 values
         with pytest.raises(ValidationError):
             ReadKFamily(3, (ReadKFunction(frozenset([0, 1]), values),))
-
-    def test_gap_ignores_codomain_labels(self):
-        rng = np.random.Generator(np.random.PCG64(11))
-        for _ in range(20):
-            p = random_bijection_distribution(rng, 3)
-            fam = random_read_k_family(rng, 3)
-            relabelled = BijectionDistribution(3, ("a", "b", "c"), p.mass)
-            assert read_k_concentration_gap(relabelled, fam) == read_k_concentration_gap(p, fam)
 
 
 class TestIndicatorShearerGap:
@@ -438,7 +424,7 @@ class TestFusedMarginalKl:
                 compiled = _cover_projections(cover)
                 for mass in masses:
                     assert _marginal_kl_sum(mass, compiled) == _reference_marginal_kl_sum(mass, cover)
-                p = BijectionDistribution(n, tuple(range(n)), masses[0])
+                p = BijectionDistribution(n, masses[0])
                 assert bijection_shearer_terms(p, cover) == (
                     _reference_kl_vs_uniform(p.mass, p.mass.size),
                     _reference_marginal_kl_sum(p.mass, cover),
@@ -471,7 +457,7 @@ class TestBruteForceCrossChecks:
                 coords = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
                 brute = {}
                 for perm, mass in zip(perms, p.mass):
-                    key = tuple(p.codomain[perm[c]] for c in coords)
+                    key = tuple(perm[c] for c in coords)
                     brute[key] = brute.get(key, 0.0) + mass
                 marg = marginal_distribution(p, coords)
                 for label, mass in zip(marg.support, marg.mass):
@@ -514,7 +500,7 @@ class TestBruteForceCrossChecks:
                 table = dict(zip(marginal_distribution(p, coords).support, f.values))
                 ep = eq = 0.0
                 for perm, mass in zip(perms, p.mass):
-                    val = float(table[tuple(p.codomain[perm[c]] for c in coords)])
+                    val = float(table[tuple(perm[c] for c in coords)])
                     ep += mass * val
                     eq += val / len(perms)
                 p_sum += ep
