@@ -2,12 +2,13 @@
 """Interleaved A/B runs of the benchmark: a base commit against the working tree.
 
     python3 scripts/bench_ab.py --base HEAD~1 --out BENCH_<n>.json \\
-        [--repeats 5] [--criteria 07 09] [--workdir DIR]
+        [--repeats 5] [--criteria 07 09] [--workloads sweep-grid ...] [--workdir DIR]
 
 Run from the repository root. The base commit is exported with
 ``git archive`` into a scratch directory (``--workdir``, default a new
 temporary directory, removed afterwards), so the repository's own ``.git``
-is left as it is. For each workload in ``BENCHMARK.json``, pair r runs
+is left as it is. For each workload in ``BENCHMARK.json`` (or each one
+named by ``--workloads``, in the file's order), pair r runs
 ``bench/run_bench.py --trace 0 --seed r+1`` for the declared
 ``run_seconds`` once on each tree, each tree with its own ``bench/``; the
 side that runs first alternates from pair to pair. With
@@ -44,6 +45,7 @@ def parse_args(argv):
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--repeats", type=int, default=5, help="pairs of runs per workload")
     p.add_argument("--criteria", nargs="*", default=[], help="acceptance criteria to time, e.g. 07 09")
+    p.add_argument("--workloads", nargs="+", help="run only these BENCHMARK.json workloads")
     p.add_argument("--workdir", help="where to export the base tree")
     args = p.parse_args(argv)
     if args.repeats < 1:
@@ -51,6 +53,16 @@ def parse_args(argv):
     if not all(re.fullmatch(r"\d\d", c) for c in args.criteria):
         p.error("--criteria takes two-digit criterion numbers, e.g. 07")
     return args
+
+
+def select_workloads(declared: dict, names) -> list:
+    """The declared workload names, in ``BENCHMARK.json`` order, restricted to
+    ``names`` unless that is None; an undeclared name raises."""
+    order = [w["name"] for w in declared["workloads"]]
+    unknown = sorted(set(names or ()) - set(order))
+    if unknown:
+        raise ValueError(f"workloads not in BENCHMARK.json: {unknown}; declared: {order}")
+    return [name for name in order if names is None or name in names]
 
 
 def export_tree(rev: str, dest: str) -> str:
@@ -184,6 +196,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)
+    workloads = select_workloads(declared, args.workloads)
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     seconds = declared["run_seconds"]
     workdir = args.workdir or tempfile.mkdtemp(prefix="bench_ab_")
@@ -191,7 +204,7 @@ def main(argv=None) -> int:
     trees = {"base": base_tree, "change": ROOT}
     try:
         runs = []
-        for workload in (w["name"] for w in declared["workloads"]):
+        for workload in workloads:
             for pair in range(args.repeats):
                 for side in _order(pair):
                     result = run_bench(trees[side], workload, pair + 1, seconds)

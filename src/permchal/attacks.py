@@ -553,6 +553,7 @@ class MultiInstanceGame(Attack):
     own_game = True
 
     def __init__(self, cfg: AttackConfig):
+        _mi_sizes(cfg)  # an invalid game fails here, not when its trials run
         self.cfg = cfg
         self.s_bits = cfg.s_bits if cfg.s_bits is not None else 0
 
@@ -587,19 +588,8 @@ def _smallest_generator(n: int) -> int:
     raise ValidationError(f"no generator found modulo {n}")
 
 
-def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
-    """One multi-instance run: guess the first few secrets, derive the rest.
-
-    A fixed permutation hides the group; every instance gets a fresh
-    uniform secret and the same non-adaptive query coefficients
-    a_i = g^-i (i <= t/2) and a_i = g^((i - t/2) * t) (i > t/2). Output
-    collisions across instances reveal linear relations between secrets,
-    so any instance colliding with an already-known one is *determined*
-    rather than guessed. ``forced_correct`` pins the guesses to the true
-    secrets to isolate the determination mechanism, whose rate over the
-    post-guess instances is reported along with the fraction of cyclic
-    exponent windows of length t/2 containing at least one query.
-    """
+def _mi_sizes(cfg: AttackConfig) -> tuple:
+    """The checked instance and guess counts of a multi-instance game."""
     n, t = cfg.n, cfg.t_budget
     if not is_prime(n):
         raise ValidationError("multi-instance game needs a prime group size")
@@ -614,7 +604,24 @@ def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
     guess_count = min(nonnegative_int(guess_count, "run_mi_game: guess count"), instances)
     if instances < 1:
         raise ValidationError("need at least one instance")
+    return instances, guess_count
 
+
+def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
+    """One multi-instance run: guess the first few secrets, derive the rest.
+
+    A fixed permutation hides the group; every instance gets a fresh
+    uniform secret and the same non-adaptive query coefficients
+    a_i = g^-i (i <= t/2) and a_i = g^((i - t/2) * t) (i > t/2). Output
+    collisions across instances reveal linear relations between secrets,
+    so any instance colliding with an already-known one is *determined*
+    rather than guessed. ``forced_correct`` pins the guesses to the true
+    secrets to isolate the determination mechanism, whose rate over the
+    post-guess instances is reported along with the fraction of cyclic
+    exponent windows of length t/2 containing at least one query.
+    """
+    n, t = cfg.n, cfg.t_budget
+    instances, guess_count = _mi_sizes(cfg)
     rng = seeded_generator(seed if seed is not None else cfg.seed, "run_mi_game")
     # one permutation fixed across instances, independent uniform secrets
     sigma = random_sigma(rng, n)

@@ -118,10 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _spec_from_mapping(entry, index: int) -> ExperimentSpec:
     """One sweep config entry as a spec whose adversary builds; errors name the entry."""
     where = f"config entry {index}"
-    if not isinstance(entry, dict):
+    if not isinstance(entry, tuple):
         raise ValidationError(f"{where}: must be a JSON object, not {entry!r}")
     normalized = {}
-    for key, value in entry.items():
+    for key, value in entry:
         key = key.replace("-", "_")
         if key not in _SPEC_KEYS:
             raise ValidationError(f"{where}: unknown key {key!r}")
@@ -142,7 +142,8 @@ def _spec_from_mapping(entry, index: int) -> ExperimentSpec:
 
 def _load_sweep_config(path: str) -> list:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        # objects load as tuples of (key, value) pairs, so a repeated key is kept to be rejected
+        data = json.load(fh, object_pairs_hook=tuple)
     if not isinstance(data, list) or not data:
         raise ValidationError("sweep config must be a non-empty JSON list of spec objects")
     return [_spec_from_mapping(entry, i) for i, entry in enumerate(data)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import repeat
@@ -156,7 +156,9 @@ def build_adversary(spec: ExperimentSpec, game, trial_seed: int = 0):
     return ATTACKS[spec.attack].from_spec(spec, game, trial_seed)
 
 
-def _run_chunk(spec: ExperimentSpec, lo: int, hi: int) -> int:
+def _run_chunk(spec: ExperimentSpec, lo: int, hi: int) -> tuple:
+    """Successes over trials ``lo..hi-1`` and the wall seconds they took."""
+    start = time.perf_counter()
     attack = ATTACKS[spec.attack]
     game = build_game(spec.kind, spec.n)
     successes = 0
@@ -172,36 +174,29 @@ def _run_chunk(spec: ExperimentSpec, lo: int, hi: int) -> int:
         sigma = random_sigma(rng, spec.n)
         secret = game.sample_secret(rng)
         successes += play_game(game, adversary, sigma, secret).success
-    return successes
+    return successes, time.perf_counter() - start
 
 
-def run_trials(spec: ExperimentSpec, jobs: int = 1, *,
-               pool: Optional[Executor] = None) -> ExperimentReport:
-    """Run one experiment's trials and assemble the report row.
+def _chunks(spec: ExperimentSpec, jobs: int) -> tuple:
+    """``_run_chunk``'s argument columns for ``spec``'s trials cut into
+    ``min(jobs, trials)`` chunks, at most ``ceil(trials / jobs)`` each."""
+    count = min(jobs, spec.trials)
+    ends = [i * spec.trials // count for i in range(count + 1)]
+    return repeat(spec), ends[:-1], ends[1:]
 
-    Each trial samples a fresh uniform permutation (Fisher-Yates under
-    the trial stream) and a fresh uniform secret, then plays the game.
-    The report attaches the game's ceiling (none for an attack that
-    plays its own game) at the attack's declared advice length and the
-    experiment's t. On ``pool`` the trials run in chunks of
-    ``ceil(trials / (jobs * 4))``; without one, ``jobs > 1`` opens a
-    ``jobs``-worker pool for this call alone.
+
+def _report(spec: ExperimentSpec, chunks: Iterable[tuple]) -> ExperimentReport:
+    """The report row of ``spec`` from its chunks' (successes, seconds).
+
+    The report attaches the game's ceiling (none for an attack that plays
+    its own game) at the attack's declared advice length and the
+    experiment's t; the adversary is built before any chunk result is
+    read, so an invalid spec fails here.
     """
-    if jobs < 1:
-        raise ValidationError("jobs must be at least 1")
-    if pool is None and jobs > 1 and spec.trials > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as own:
-            return run_trials(spec, jobs, pool=own)
-    start = time.perf_counter()
     theorem = None if ATTACKS[spec.attack].own_game else GAMES[spec.kind].theorem
     game = build_game(spec.kind, spec.n)
     declared_bits = build_adversary(spec, game, derive_trial_seed(spec.master_seed, 0)).s_bits
-
-    chunk = spec.trials if pool is None else math.ceil(spec.trials / (jobs * 4))
-    los = range(0, spec.trials, chunk)
-    his = [min(spec.trials, lo + chunk) for lo in los]
-    successes = sum((map if pool is None else pool.map)(_run_chunk, repeat(spec), los, his))
-
+    successes, seconds = map(sum, zip(*chunks))
     ci_low, ci_high = wilson_interval(successes, spec.trials)
     bound = (
         evaluate_bound(theorem, spec.n, declared_bits, spec.t) if theorem is not None else None
@@ -215,8 +210,19 @@ def run_trials(spec: ExperimentSpec, jobs: int = 1, *,
         ci_high=ci_high,
         bound_theorem=theorem.value if theorem is not None else "",
         bound_value=bound,
-        seconds=time.perf_counter() - start,
+        seconds=seconds,
     )
+
+
+def run_trials(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
+    """Run one experiment's trials and assemble the report row.
+
+    Each trial samples a fresh uniform permutation (Fisher-Yates under
+    the trial stream) and a fresh uniform secret, then plays the game.
+    This is ``sweep_grid`` of the one spec: ``jobs > 1`` runs
+    ``min(jobs, trials)`` chunks on a pool opened for this call.
+    """
+    return sweep_grid([spec], jobs)[0]
 
 
 def sweep_grid(
@@ -224,20 +230,39 @@ def sweep_grid(
     jobs: int = 1,
     on_report: Optional[Callable[[ExperimentReport], None]] = None,
 ) -> list:
-    """Run specs in order on one pool; flush each report as it completes.
+    """Run specs on one pool; report them in order, each as it completes.
 
-    A hard failure aborts the sweep after the callback has seen every
-    completed report, so partial results are already flushed.
+    At ``jobs = 1`` every spec runs in-process as one chunk, and is built
+    and reported before the next starts. Otherwise each spec's trials are
+    cut into ``min(jobs, trials)`` chunks of at most ``ceil(trials / jobs)``
+    and every spec's chunks are queued on the pool before the first report
+    is built. A row's ``seconds`` is the summed wall time of its chunks.
+
+    A hard failure raises after the callback has seen every earlier
+    report, so partial results are already flushed; the chunks still
+    queued are cancelled.
     """
     if not specs:
         raise ValidationError("sweep_grid: empty grid")
+    if jobs < 1:
+        raise ValidationError("jobs must be at least 1")
+    workers = min(jobs, max(spec.trials for spec in specs))
     reports = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for spec in specs:
-            report = run_trials(spec, jobs, pool=pool)
-            reports.append(report)
-            if on_report is not None:
-                on_report(report)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # map is lazy, so at jobs = 1 a spec's trials run when its report is built;
+        # pool.map submits every chunk at once and yields the results in order
+        chunks = [(map if pool is None else pool.map)(_run_chunk, *_chunks(spec, workers))
+                  for spec in specs]
+        try:
+            for spec, results in zip(specs, chunks):
+                report = _report(spec, results)
+                reports.append(report)
+                if on_report is not None:
+                    on_report(report)
+        except BaseException:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            raise
     return reports
 
 

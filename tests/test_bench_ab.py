@@ -135,3 +135,40 @@ def test_criteria_pairs_alternate_the_first_side(monkeypatch):
     assert base["seconds"] == [10.0, 11.0, 10.5] and change["seconds"] == [9.0, 8.5, 9.5]
     assert base["median"] == 10.5 and (change["min"], change["max"], change["n"]) == (8.5, 9.5, 3)
     assert base["lines"] == ["PASS: B"] and change["lines"] == ["PASS: C"]
+
+
+DECLARED = {"workloads": [{"name": n} for n in ("sweep-bulk", "sweep-grid", "inequality-suite")]}
+
+
+def test_workloads_default_to_all_in_declared_order():
+    assert bench_ab.select_workloads(DECLARED, None) == ["sweep-bulk", "sweep-grid", "inequality-suite"]
+    args = bench_ab.parse_args(["--base", "HEAD", "--out", "x.json"])
+    assert bench_ab.select_workloads(DECLARED, args.workloads) == ["sweep-bulk", "sweep-grid", "inequality-suite"]
+
+
+def test_workloads_restrict_the_pairs_in_declared_order():
+    args = bench_ab.parse_args(["--base", "HEAD", "--out", "x.json", "--workloads", "inequality-suite", "sweep-bulk"])
+    assert bench_ab.select_workloads(DECLARED, args.workloads) == ["sweep-bulk", "inequality-suite"]
+
+
+def test_unknown_workload_rejected_before_any_run(monkeypatch):
+    monkeypatch.setattr(bench_ab, "export_tree", lambda *a: pytest.fail("exported a tree"))
+    with pytest.raises(ValueError, match="sweep-gird"):
+        bench_ab.main(["--base", "HEAD", "--out", "x.json", "--workloads", "sweep-gird"])
+
+
+def test_main_pairs_only_the_named_workloads(monkeypatch, tmp_path):
+    ran = []
+
+    def fake_run_bench(tree, workload, seed, seconds):
+        ran.append((workload, seed))
+        return json.loads(_line(0.1, 10))
+
+    monkeypatch.setattr(bench_ab, "export_tree", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_ab, "run_bench", fake_run_bench)
+    monkeypatch.setattr(bench_ab, "src_lines", lambda tree: 0)
+    out = tmp_path / "ab.json"
+    bench_ab.main(["--base", "HEAD", "--out", str(out), "--repeats", "2",
+                   "--workloads", "sweep-grid", "--workdir", str(tmp_path / "work")])
+    assert ran == [("sweep-grid", 1)] * 2 + [("sweep-grid", 2)] * 2
+    assert list(json.loads(out.read_text())["workloads"]) == ["sweep-grid"]

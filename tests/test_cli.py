@@ -183,9 +183,10 @@ class TestSweepCommand:
             ("1", {"game": "dlog", "attack": "chains", "n": 11, "t": 3, "trials": 5}),
             ("1", {"game": "dlog", "attack": "bsgs", "n": 11, "t": 12, "trials": 5}),
             ("1", {"game": "dlog", "attack": "bsgs", "n": 11, "t": 3, "trials": 5, "s_bits": 1}),
+            ("1", {"game": "dlog", "attack": "mi", "n": 101, "t": 200, "trials": 1}),
         ],
         ids=["jobs-0", "non-prime-n", "theorem-key", "chains-without-s-bits", "bsgs-t-above-n",
-             "s-bits-below-the-encoding"],
+             "s-bits-below-the-encoding", "mi-t-above-n"],
     )
     def test_invalid_sweep_leaves_out_untouched(self, tmp_path, capsys, jobs, entry):
         cfg = self._config(
@@ -209,8 +210,10 @@ class TestSweepCommand:
              "config entry 1: unknown attack ['bsgs']"),
             ({"game": "dlog", "attack": "bsgs", "n": 11, "t": 3, "trials": 5, "s-bits": 200, "s_bits": 300},
              "config entry 1: key 's_bits' given twice"),
+            ({"game": "dlog", "attack": "mi", "n": 101, "t": 200, "trials": 1},
+             "config entry 1: per-instance budget must be below the group size"),
         ],
-        ids=["not-an-object", "list-game", "list-attack", "keys-normalising-to-one"],
+        ids=["not-an-object", "list-game", "list-attack", "keys-normalising-to-one", "mi-t-above-n"],
     )
     def test_malformed_entry_is_a_validation_error(self, tmp_path, capsys, entry, message):
         cfg = self._config(
@@ -219,6 +222,19 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--config", cfg)
         assert code == 2 and out == ""
         assert message in err
+
+
+    def test_repeated_literal_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(
+            '[{"game": "dlog", "attack": "bsgs", "n": 11, "t": 3, "trials": 5},'
+            ' {"game": "dlog", "attack": "guess", "n": 11, "t": 1, "trials": 5,'
+            ' "s_bits": 100, "s_bits": 200}]'
+        )
+        out_path = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(path), "--out", str(out_path))
+        assert code == 2 and not out_path.exists()
+        assert "config entry 1: key 's_bits' given twice" in err
 
 
 class TestOtherCommands:

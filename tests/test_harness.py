@@ -257,6 +257,58 @@ class TestSweep:
         run_trials(self._grid()[0], jobs=2)
         assert len(built) == 2
 
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_every_chunk_is_queued_before_the_first_report(self, monkeypatch, jobs):
+        submitted = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        grid = [
+            ExperimentSpec(game="dlog", attack="bsgs", n=101, t=5, trials=trials, master_seed=7)
+            for trials in (1, 4, 100)
+        ]
+        at_first_report = []
+
+        def on_report(report):
+            if not at_first_report:
+                at_first_report.append(len(submitted))
+
+        reports = sweep_grid(grid, jobs=jobs, on_report=on_report)
+        expected = sum(min(jobs, spec.trials) for spec in grid)
+        assert at_first_report == [expected] and len(submitted) == expected
+        assert [r.csv_row() for r in reports] == [r.csv_row() for r in sweep_grid(grid)]
+
+    def test_failure_inside_a_worker_flushes_earlier_rows_and_stops_the_pool(self, monkeypatch):
+        original = harness.random_sigma
+
+        def failing_sigma(rng, n):
+            if n == 103:
+                raise ValidationError("synthetic failure in a trial")
+            return original(rng, n)
+
+        # the pool's workers are forked after the patch, so only they raise
+        monkeypatch.setattr(harness, "random_sigma", failing_sigma)
+        good = ExperimentSpec(game="dlog", attack="bsgs", n=101, t=11, trials=40, master_seed=1)
+        bad = ExperimentSpec(game="dlog", attack="bsgs", n=103, t=11, trials=40, master_seed=1)
+        flushed = []
+        with pytest.raises(ValidationError, match="synthetic failure"):
+            sweep_grid([good, bad, good, good], jobs=2, on_report=flushed.append)
+        assert [r.spec.n for r in flushed] == [101]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_timed_rows_carry_their_chunks_seconds(self, jobs):
+        buf = io.StringIO()
+        reports = sweep_grid(self._grid(), jobs=jobs)
+        write_csv(reports, buf, timing=True)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[2:]]
+        assert len(rows) == 3 and all(float(row[-1]) > 0 for row in rows)
+        assert all(r.seconds > 0 for r in reports)
+
     def test_byte_identical_csv_across_jobs(self):
         grid = self._grid()
         outputs = []
