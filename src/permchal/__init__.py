@@ -3,15 +3,14 @@ evaluation, and exhaustive verification of Shearer-type inequalities
 over bijections."""
 
 from .attacks import (
-    AttackConfig,
+    BsgsAdversary,
+    ChainPreprocessingDlog,
+    ConstantGuessAdversary,
+    DaemenEmAdversary,
     MiGameResult,
-    bsgs_adversary,
-    chain_preprocessing_dlog,
-    constant_guess_adversary,
-    daemen_em_adversary,
-    pollard_rho_adversary,
+    PollardRhoAdversary,
+    SqddhMajorityAdversary,
     run_mi_game,
-    sqddh_nonadaptive_adversary,
 )
 from .bounds import BoundTheorem, evaluate_bound
 from .errors import ContractViolation, PermchalError, ValidationError

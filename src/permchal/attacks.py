@@ -14,7 +14,10 @@ Adaptive baselines (excluded from those comparisons, kept for contrast):
 
 Plus the multi-instance search game used to probe how colliding query
 sets determine later secrets. ``ATTACKS`` registers every attack class
-by name (see ``Attack``).
+by name (see ``Attack``). An attack is built one way,
+``cls(game, t, s_bits=None, seed=0)``: from the game it plays, its query
+budget T and its advice bound S, the only parameters of a preprocessing
+attack, and it derives every other size from them.
 
 Advice strings are literal '0'/'1' strings; tables of fixed-width fields
 go through ``bits_encode_array`` / ``bits_decode_array``. The engine
@@ -36,35 +39,9 @@ from .games import (
     GameKind,
     NonAdaptiveAdversary,
     PCGame,
-    is_power_of_two,
-    is_prime,
     random_sigma,
 )
 from .seeding import mix64, mix64_array, seeded_generator, splitmix64, splitmix64_array
-
-
-@dataclass(frozen=True)
-class AttackConfig:
-    """Shared attack parameterization; attack-specific fields are optional.
-
-    ``s_bits`` may be omitted, in which case each attack declares the
-    exact advice length its encoding needs.
-    """
-
-    n: int
-    t_budget: int = 0
-    s_bits: Optional[int] = None
-    seed: int = 0
-    # attack-specific knobs
-    m: Optional[int] = None  # baby-step giant-step table width
-    table_budget: Optional[int] = None  # XOR-difference attack t1
-    alpha: Optional[int] = None  # XOR-difference offset (bit pattern, nonzero)
-    chains: Optional[int] = None  # endpoint-table walk count
-    chain_length: Optional[int] = None
-    buckets: Optional[int] = None  # majority-advice bucket count
-    instances: Optional[int] = None  # multi-instance game length
-    guess_count: Optional[int] = None
-    forced_correct: bool = False
 
 
 def bits_encode(value: int, width: int) -> str:
@@ -102,14 +79,12 @@ def _element(residue: int, n: int) -> int:
     return n if residue % n == 0 else residue % n
 
 
-def _config(spec, **knobs) -> AttackConfig:
-    """An experiment spec's n, budget t, advice bound and master seed, plus knobs."""
-    base = dict(n=spec.n, t_budget=spec.t, s_bits=spec.s_bits, seed=spec.master_seed)
-    return AttackConfig(**{**base, **knobs})
-
-
 class Attack:
     """What the harness knows about an attack, declared on its class.
+
+    Every attack is built as ``cls(game, t, s_bits=None, seed=0)``: the
+    game it plays, its query budget T, its advice bound S (None: the
+    length its encoding needs) and the seed of its keyed functions.
 
     ``name`` is the registry key and the CSV ``attack`` column, ``games``
     the game kinds it plays, and ``adaptive`` (from the adversary base
@@ -125,9 +100,11 @@ class Attack:
     own_game = False
 
     @classmethod
-    def from_spec(cls, spec, game: PCGame, trial_seed: int):
-        """The attack for one experiment spec, held to the spec's budget t."""
-        return cls(_config(spec))
+    def _game_size(cls, game: PCGame) -> int:
+        """n of a game this attack plays; the game has validated it."""
+        if game.kind not in cls.games:
+            raise ValidationError(f"attack {cls.name!r} does not apply to game {game.alias!r}")
+        return game.n
 
 
 # ---------------------------------------------------------------------------
@@ -136,32 +113,27 @@ class Attack:
 
 
 class BsgsAdversary(Attack, NonAdaptiveAdversary):
-    """Table of sigma on 0..m-1 as advice; m stride-m outer queries online.
+    """Table of sigma on 0..m-1 as advice; m stride-m outer queries online,
+    with m = t.
 
     Advice encodes the table sorted by sigma value, 2*ceil(log2 n) bits
     per entry. Outer query i asks for sigma(d + i*m); a table hit at
-    row j solves d = j - i*m mod n. With m = ceil(sqrt(n)) and m^2 >= n
-    every secret is covered and the attack always succeeds.
+    row j solves d = j - i*m mod n. With m^2 >= n every secret is
+    covered and the attack always succeeds.
     """
 
     name = "bsgs"
     games = frozenset({GameKind.DLOG})
 
-    @classmethod
-    def from_spec(cls, spec, game, trial_seed):
-        return cls(_config(spec, m=spec.t))
-
-    def __init__(self, cfg: AttackConfig):
-        if not is_prime(cfg.n):
-            raise ValidationError("baby-step giant-step needs a prime group size")
-        self.n = cfg.n
-        self.m = cfg.m if cfg.m is not None else math.isqrt(cfg.n - 1) + 1
-        if not (1 <= self.m <= cfg.n):
-            raise ValidationError("table width m out of range")
-        self.width = _field_width(cfg.n)
-        super().__init__(cfg.s_bits, cfg.t_budget, required=self.m * 2 * self.width)
-        self.queries = [(1, _element(i * self.m, self.n)) for i in range(self.m)]
-        self._table_slots = (np.arange(self.m) - 1) % self.n
+    def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
+        n = self.n = self._game_size(game)
+        if not (1 <= t <= n):
+            raise ValidationError("table width m = t out of range")
+        self.m = t
+        self.width = _field_width(n)
+        super().__init__(s_bits, t, required=t * 2 * self.width)
+        self.queries = [(1, _element(i * t, n)) for i in range(t)]
+        self._table_slots = (np.arange(t) - 1) % n
 
     def preprocess(self, sigma: np.ndarray) -> str:
         values = sigma.take(self._table_slots)
@@ -196,18 +168,12 @@ class PollardRhoAdversary(Attack, AdaptiveAdversary):
     games = frozenset({GameKind.DLOG})
     reseeded = True
 
-    @classmethod
-    def from_spec(cls, spec, game, trial_seed):
-        return cls(_config(spec, seed=trial_seed))
-
-    def __init__(self, cfg: AttackConfig):
-        if not is_prime(cfg.n):
-            raise ValidationError("cycle-finding search needs a prime group size")
-        if cfg.t_budget < 4:
+    def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
+        self.n = self._game_size(game)
+        if t < 4:
             raise ValidationError("query budget too small")
-        super().__init__(s_bits=0, t_budget=cfg.t_budget)
-        self.n = cfg.n
-        self.seed = cfg.seed
+        super().__init__(s_bits=0, t_budget=t)
+        self.seed = seed
 
     def run(self, z: str, oracle):
         n = self.n
@@ -232,7 +198,7 @@ class PollardRhoAdversary(Attack, AdaptiveAdversary):
             return a, b, query(a, b)
 
         best_guess = n
-        while oracle.remaining is None or oracle.remaining >= 4:
+        while oracle.remaining >= 4:
             a0 = int(rng.integers(1, n))
             b0 = int(rng.integers(0, n))
             try:
@@ -266,43 +232,34 @@ class PollardRhoAdversary(Attack, AdaptiveAdversary):
 class ChainPreprocessingDlog(Attack, AdaptiveAdversary):
     """Random-walk chains stored by endpoint; online walk from the challenge.
 
-    Preprocessing walks ``chains`` chains of ``chain_length`` steps in
+    Preprocessing walks ``chains`` chains of ``length`` steps in
     exponent space, with the step size a keyed function of the current
     encoding, and stores (endpoint encoding, endpoint exponent) pairs.
     Online, the same walk is driven through outer queries starting from
     sigma(d); hitting a stored endpoint reveals d exactly (encodings are
     injective), so success is limited only by coverage and the budget.
-    From a spec, ``s_bits`` sizes the endpoint table and t is the chain
-    length as well as the budget.
+    S sizes the endpoint table, ``chains = S // (2 * ceil(log2 n))``, and
+    t is the chain length as well as the budget.
     """
 
     name = "chains"
     games = frozenset({GameKind.DLOG})
 
-    @classmethod
-    def from_spec(cls, spec, game, trial_seed):
-        if spec.s_bits is None:
-            raise ValidationError("chains attack needs --s-bits to size the endpoint table")
-        chains = spec.s_bits // (2 * _field_width(spec.n))
-        if chains < 1:
+    def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
+        n = self.n = self._game_size(game)
+        if s_bits is None:
+            raise ValidationError("chains attack needs s_bits to size the endpoint table")
+        if t < 1:
+            raise ValidationError("chain length t must be positive")
+        self.width = _field_width(n)
+        self.chains = s_bits // (2 * self.width)
+        if self.chains < 1:
             raise ValidationError("s_bits too small for a single chain endpoint")
-        return cls(_config(spec, chains=chains, chain_length=spec.t))
-
-    def __init__(self, cfg: AttackConfig):
-        if not is_prime(cfg.n):
-            raise ValidationError("chain preprocessing needs a prime group size")
-        chains = cfg.chains if cfg.chains is not None else 1
-        length = cfg.chain_length if cfg.chain_length is not None else max(1, cfg.t_budget)
-        if chains < 1 or length < 1 or cfg.t_budget < 0:
-            raise ValidationError("chains and chain length must be positive, budget non-negative")
-        self.n = cfg.n
-        self.chains = chains
-        self.length = length
-        self.width = _field_width(cfg.n)
-        self.walk_key = mix64(0xC4A1, cfg.seed)
-        starts = [mix64(self.walk_key, 0x5747, c) % cfg.n for c in range(chains)]
-        self._start_slots = (np.array(starts, dtype=np.int64) - 1) % cfg.n
-        super().__init__(cfg.s_bits, cfg.t_budget, required=chains * 2 * self.width)
+        self.length = t
+        self.walk_key = mix64(0xC4A1, seed)
+        starts = [mix64(self.walk_key, 0x5747, c) % n for c in range(self.chains)]
+        self._start_slots = (np.array(starts, dtype=np.int64) - 1) % n
+        super().__init__(s_bits, t, required=self.chains * 2 * self.width)
 
     def _step_size(self, encoding: int) -> int:
         return 1 + mix64(self.walk_key, encoding) % (self.n - 1)
@@ -334,8 +291,6 @@ class ChainPreprocessingDlog(Attack, AdaptiveAdversary):
 
     def run(self, z: str, oracle):
         n = self.n
-        if oracle.remaining is not None and oracle.remaining < 1:
-            return n  # no budget even for the challenge: bare guess
         endpoints = _encoding_table(z, self.width)
         offset = 0
         y = oracle.outer((1, n))  # sigma(d)
@@ -343,7 +298,7 @@ class ChainPreprocessingDlog(Attack, AdaptiveAdversary):
             hit = endpoints.get(y)
             if hit is not None:
                 return _element(hit - offset, n)
-            if oracle.remaining is not None and oracle.remaining < 1:
+            if oracle.remaining < 1:
                 return n
             offset = (offset + self._step_size(y)) % n
             y = oracle.outer((1, _element(offset, n)))
@@ -366,47 +321,36 @@ class DaemenEmAdversary(Attack, NonAdaptiveAdversary):
     partner answer EM(m^1) predicted from the stored values. A validated
     match yields k1 = m^x (or m^x^alpha) and k2 = EM(m)^sigma(x^k1^m).
 
-    Requires t1/2 a power of two >= 4 so X is closed under ^1; alpha
-    defaults to t1/2, which makes the covered k1 set tile [0, t1*t2/4).
+    The table size t1 balances t1 * t2 = 4n for t2 = t where it can,
+    holds at most S / ceil(log2 n) points when S is given, and is rounded
+    down to a power of two >= 8 so that X is closed under ^1. alpha = t1/2
+    makes the covered k1 set tile [0, t1*t2/4).
     """
 
     name = "daemen"
     games = frozenset({GameKind.EM_KR})
+    beta = 1
 
-    def __init__(self, cfg: AttackConfig):
-        if not is_power_of_two(cfg.n):
-            raise ValidationError("difference-table attack needs a power-of-two domain")
-        self.n = cfg.n
-        t2 = cfg.t_budget
-        if t2 < 4 or t2 % 4 != 0:
+    def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
+        n = self.n = self._game_size(game)
+        if t < 4 or t % 4 != 0:
             raise ValidationError("outer budget must be a positive multiple of 4")
-        if cfg.table_budget is not None:
-            self.t1 = cfg.table_budget
-        else:
-            # balanced default: t1 * t2 = 4n when possible, rounded down to 2^j
-            raw = max(8, min(cfg.n, 4 * cfg.n // t2))
-            self.t1 = 1 << (raw.bit_length() - 1)
-        half = self.t1 // 2
-        if self.t1 < 8 or half & (half - 1):
-            raise ValidationError("table budget t1 must satisfy t1/2 a power of two >= 4")
-        if self.t1 > cfg.n:
+        self.width = _field_width(n)
+        # t1 * t = 4n where it can, and no more points than S holds
+        fits = n if s_bits is None else s_bits // self.width
+        raw = max(8, min(n, 4 * n // t, fits))
+        self.t1 = 1 << (raw.bit_length() - 1)
+        if self.t1 > n:
             raise ValidationError("table budget exceeds the domain")
-        alpha = cfg.alpha if cfg.alpha is not None else half
-        if not (1 <= alpha <= cfg.n - 1):
-            raise ValidationError("alpha must be a nonzero bit pattern")
-        if alpha < half:
-            raise ValidationError("alpha must lie outside the table block [0, t1/2)")
-        self.alpha = alpha
-        self.beta = 1
-        self.t2 = t2
-        self.width = _field_width(cfg.n)
-        self.stored = list(range(half)) + [x ^ alpha for x in range(half)]
-        super().__init__(cfg.s_bits, cfg.t_budget, required=len(self.stored) * self.width)
-        bases = [(r * self.t1) % cfg.n for r in range(t2 // 4)]
-        self.queries = []
-        for mb in bases:
-            for q in (mb, mb ^ alpha, mb ^ self.beta, mb ^ alpha ^ self.beta):
-                self.queries.append(q + 1)
+        half = self.alpha = self.t1 // 2
+        self.t2 = t
+        self.stored = list(range(half)) + [x ^ half for x in range(half)]
+        super().__init__(s_bits, t, required=self.t1 * self.width)
+        self.queries = [
+            q + 1
+            for mb in ((r * self.t1) % n for r in range(t // 4))
+            for q in (mb, mb ^ half, mb ^ self.beta, mb ^ half ^ self.beta)
+        ]
 
     def preprocess(self, sigma: np.ndarray) -> str:
         return bits_encode_array(sigma.take(self.stored) - 1, self.width)
@@ -448,35 +392,27 @@ class SqddhMajorityAdversary(Attack, NonAdaptiveAdversary):
     bit agrees with its bucket majority noticeably more often than a
     coin, while on the random side it is independent of the advice.
 
-    From a spec, ``s_bits`` is read as the bucket count (one advice bit
-    per bucket), so the advice bound and the table size move together.
+    S is the bucket count (one advice bit per bucket; 8 when S is not
+    given), so the advice bound and the table size move together.
     """
 
     name = "sqddh-majority"
     games = frozenset({GameKind.SQDDH})
 
-    @classmethod
-    def from_spec(cls, spec, game, trial_seed):
-        return cls(_config(spec, buckets=spec.s_bits))
-
-    def __init__(self, cfg: AttackConfig):
-        if not is_prime(cfg.n):
-            raise ValidationError("majority-advice distinguisher needs a prime group size")
-        if cfg.t_budget < 2 or cfg.t_budget % 2 != 0:
+    def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
+        n = self.n = self._game_size(game)
+        if t < 2 or t % 2 != 0:
             raise ValidationError("query budget must be a positive even number")
-        buckets = cfg.buckets if cfg.buckets is not None else 8
-        if buckets < 1:
-            raise ValidationError("bucket count must be positive")
-        super().__init__(cfg.s_bits, cfg.t_budget, required=buckets)
-        self.n = cfg.n
-        self.t = cfg.t_budget
-        self.buckets = buckets
-        self.key_mark = mix64(0x50, cfg.seed)
-        self.key_bit = mix64(0x51, cfg.seed)
-        self.key_bucket = mix64(0x52, cfg.seed)
-        self.key_walk = mix64(0x53, cfg.seed)
-        self.key_guess = mix64(0x54, cfg.seed)
-        n = cfg.n
+        self.buckets = 8 if s_bits is None else s_bits
+        if self.buckets < 1:
+            raise ValidationError("bucket count s_bits must be positive")
+        super().__init__(s_bits, t, required=self.buckets)
+        self.t = t
+        self.key_mark = mix64(0x50, seed)
+        self.key_bit = mix64(0x51, seed)
+        self.key_bucket = mix64(0x52, seed)
+        self.key_walk = mix64(0x53, seed)
+        self.key_guess = mix64(0x54, seed)
         x = np.arange(n, dtype=np.int64)
         self._pair_slots = (x - 1) % n, (x * x % n - 1) % n  # slots of (x, x^2)
         self.queries = []
@@ -519,17 +455,14 @@ class SqddhMajorityAdversary(Attack, NonAdaptiveAdversary):
 class ConstantGuessAdversary(Attack, NonAdaptiveAdversary):
     """Zero queries, constant output; the floor every attack must beat.
 
-    The output is the target of the game's first secret."""
+    The output is the target of the game's first secret; it declares no
+    advice whatever S is."""
 
     name = "guess"
     games = frozenset(GameKind)
 
-    @classmethod
-    def from_spec(cls, spec, game, trial_seed):
-        return cls(game, t_budget=spec.t)
-
-    def __init__(self, game: PCGame, t_budget: Optional[int] = None):
-        super().__init__(s_bits=0, t_budget=t_budget)
+    def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
+        super().__init__(s_bits=0, t_budget=t)  # it plays every game: nothing to check
         self.value = game.success_target(next(game.iter_secrets()))
 
     def decide(self, z: str, inner_answers, outer_answers):
@@ -543,19 +476,19 @@ class ConstantGuessAdversary(Attack, NonAdaptiveAdversary):
 
 class MultiInstanceGame(Attack):
     """The multi-instance game as an experiment: one trial is one
-    ``run_mi_game`` run, a success when every instance is solved. It plays
-    its own game and so has no ceiling; its declared advice is ``s_bits``
-    or 0. Adaptive: later secrets are derived from earlier answers."""
+    ``run_mi_game(n, t, trial seed)`` run, a success when every instance
+    is solved. It plays its own game and so has no ceiling; its declared
+    advice is ``s_bits`` or 0. Adaptive: later secrets are derived from
+    earlier answers."""
 
     name = "mi"
     games = frozenset({GameKind.DLOG})
     adaptive = True
     own_game = True
 
-    def __init__(self, cfg: AttackConfig):
-        _mi_sizes(cfg)  # an invalid game fails here, not when its trials run
-        self.cfg = cfg
-        self.s_bits = cfg.s_bits if cfg.s_bits is not None else 0
+    def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
+        _mi_sizes(self._game_size(game), t)  # an invalid game fails here, not when its trials run
+        self.s_bits = 0 if s_bits is None else s_bits
 
 
 @dataclass(frozen=True)
@@ -588,26 +521,30 @@ def _smallest_generator(n: int) -> int:
     raise ValidationError(f"no generator found modulo {n}")
 
 
-def _mi_sizes(cfg: AttackConfig) -> tuple:
+def _mi_sizes(n: int, t: int, instances: Optional[int] = None, guess_count: Optional[int] = None):
     """The checked instance and guess counts of a multi-instance game."""
-    n, t = cfg.n, cfg.t_budget
-    if not is_prime(n):
-        raise ValidationError("multi-instance game needs a prime group size")
+    DlogGame(n)  # the game checks that n is prime
     if t < 2 or t % 2 != 0:
         raise ValidationError("per-instance budget must be a positive even number")
     if t >= n:
         raise ValidationError("per-instance budget must be below the group size")
-    instances = cfg.instances if cfg.instances is not None else 4 * math.ceil(n / (t * t))
-    guess_count = (
-        cfg.guess_count if cfg.guess_count is not None else math.ceil(4 * n / (t * t))
-    )
+    instances = 4 * math.ceil(n / (t * t)) if instances is None else instances
+    instances = nonnegative_int(instances, "run_mi_game: instances")
+    guess_count = math.ceil(4 * n / (t * t)) if guess_count is None else guess_count
     guess_count = min(nonnegative_int(guess_count, "run_mi_game: guess count"), instances)
     if instances < 1:
         raise ValidationError("need at least one instance")
     return instances, guess_count
 
 
-def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
+def run_mi_game(
+    n: int,
+    t: int,
+    seed: int,
+    instances: Optional[int] = None,
+    guess_count: Optional[int] = None,
+    forced_correct: bool = False,
+) -> MiGameResult:
     """One multi-instance run: guess the first few secrets, derive the rest.
 
     A fixed permutation hides the group; every instance gets a fresh
@@ -620,9 +557,8 @@ def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
     post-guess instances is reported along with the fraction of cyclic
     exponent windows of length t/2 containing at least one query.
     """
-    n, t = cfg.n, cfg.t_budget
-    instances, guess_count = _mi_sizes(cfg)
-    rng = seeded_generator(seed if seed is not None else cfg.seed, "run_mi_game")
+    instances, guess_count = _mi_sizes(n, t, instances, guess_count)
+    rng = seeded_generator(seed, "run_mi_game")
     # one permutation fixed across instances, independent uniform secrets
     sigma = random_sigma(rng, n)
     secrets = [int(rng.integers(0, n)) for _ in range(instances)]
@@ -669,7 +605,7 @@ def run_mi_game(cfg: AttackConfig, seed: Optional[int] = None) -> MiGameResult:
                     break
 
         if inst < guess_count:
-            solved = d if cfg.forced_correct else int(rng.integers(0, n))
+            solved = d if forced_correct else int(rng.integers(0, n))
         elif derived is not None:
             solved = derived
             determined += 1
@@ -709,10 +645,3 @@ ATTACKS = {
     for cls in (BsgsAdversary, PollardRhoAdversary, ChainPreprocessingDlog, DaemenEmAdversary,
                 SqddhMajorityAdversary, ConstantGuessAdversary, MultiInstanceGame)
 }
-
-bsgs_adversary = BsgsAdversary
-pollard_rho_adversary = PollardRhoAdversary
-chain_preprocessing_dlog = ChainPreprocessingDlog
-daemen_em_adversary = DaemenEmAdversary
-sqddh_nonadaptive_adversary = SqddhMajorityAdversary
-constant_guess_adversary = ConstantGuessAdversary

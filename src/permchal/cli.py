@@ -21,7 +21,7 @@ import sys
 from contextlib import ExitStack
 from dataclasses import asdict
 
-from .attacks import ATTACKS, AttackConfig, run_mi_game
+from .attacks import ATTACKS, run_mi_game
 from .bounds import BoundTheorem, evaluate_bound
 from .errors import ContractViolation, PermchalError, ValidationError
 from .games import build_game, measure_uniformity
@@ -222,18 +222,13 @@ def _cmd_shearer(args) -> int:
 def _cmd_mi(args) -> int:
     if args.runs < 1:
         raise ValidationError("mi: --runs must be at least 1")
-    cfg = AttackConfig(
-        n=args.n,
-        t_budget=args.t,
-        instances=args.instances,
-        guess_count=args.guess_count,
-        forced_correct=args.forced_correct,
-    )
     all_correct = 0
     det_fracs = []
     coverages = []
     for run in range(args.runs):
-        res = run_mi_game(cfg, seed=args.seed + run)
+        res = run_mi_game(
+            args.n, args.t, args.seed + run, args.instances, args.guess_count, args.forced_correct
+        )
         all_correct += res.all_correct
         det_fracs.append(res.determined_fraction)
         coverages.append(res.interval_coverage)

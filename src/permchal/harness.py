@@ -153,7 +153,11 @@ class ExperimentReport:
 
 
 def build_adversary(spec: ExperimentSpec, game, trial_seed: int = 0):
-    return ATTACKS[spec.attack].from_spec(spec, game, trial_seed)
+    """The spec's attack on ``game``, seeded by the trial seed if it is
+    ``reseeded`` and by the master seed otherwise."""
+    attack = ATTACKS[spec.attack]
+    seed = trial_seed if attack.reseeded else spec.master_seed
+    return attack(game, spec.t, spec.s_bits, seed)
 
 
 def _run_chunk(spec: ExperimentSpec, lo: int, hi: int) -> tuple:
@@ -168,7 +172,7 @@ def _run_chunk(spec: ExperimentSpec, lo: int, hi: int) -> tuple:
         if adversary is None or attack.reseeded:
             adversary = build_adversary(spec, game, tseed)
         if attack.own_game:
-            successes += run_mi_game(adversary.cfg, seed=tseed).all_correct
+            successes += run_mi_game(spec.n, spec.t, tseed).all_correct
             continue
         rng = trial_generator(spec.master_seed, index)
         sigma = random_sigma(rng, spec.n)

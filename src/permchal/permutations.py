@@ -14,16 +14,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, nonnegative_int
 
 MAX_ENUM_N = 8
 
 
-def check_enum_size(n: int, what: str = "operation") -> None:
-    if not isinstance(n, int) or n < 1:
+def check_enum_size(n, what: str = "operation") -> int:
+    """``n`` as an int in [1, MAX_ENUM_N]; numpy integers pass, floats do not."""
+    n = nonnegative_int(n, f"{what}: n")
+    if n < 1:
         raise ValidationError(f"{what}: n must be a positive integer")
     if n > MAX_ENUM_N:
         raise ValidationError(f"{what}: n={n} exceeds the enumeration cap {MAX_ENUM_N}")
+    return n
 
 
 def permutation_rank(perm) -> int:
@@ -52,10 +55,10 @@ def permutation_unrank(n: int, rank: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float equal to a cached n is still checked
 def permutation_matrix(n: int) -> np.ndarray:
     """All permutations of 0..n-1 as an (n!, n) int array in rank order."""
-    check_enum_size(n, "permutation_matrix")
+    n = check_enum_size(n, "permutation_matrix")
     mat = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     mat.setflags(write=False)
     return mat

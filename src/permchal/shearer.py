@@ -62,13 +62,13 @@ class BijectionDistribution:
     mass: np.ndarray
 
     def __post_init__(self):
-        check_enum_size(self.n, "BijectionDistribution")
+        object.__setattr__(self, "n", check_enum_size(self.n, "BijectionDistribution"))
         arr = _as_mass_array(self.mass, "BijectionDistribution", (math.factorial(self.n),))
         object.__setattr__(self, "mass", arr)
 
     @classmethod
     def uniform(cls, n: int) -> "BijectionDistribution":
-        f = math.factorial(n)
+        f = math.factorial(check_enum_size(n, "BijectionDistribution"))
         return cls(n, np.full(f, 1.0 / f))
 
     @classmethod
@@ -138,7 +138,7 @@ class ReadKFamily:
     k: int = field(init=False)
 
     def __post_init__(self):
-        check_enum_size(self.n, "ReadKFamily")
+        object.__setattr__(self, "n", check_enum_size(self.n, "ReadKFamily"))
         functions = tuple(self.functions)
         object.__setattr__(self, "k", CoverFamily(self.n, tuple(f.dependencies for f in functions)).k)
         for f in functions:
@@ -397,7 +397,7 @@ def extremal_ratio_search(
     single-coordinate perturbations. P = Q is excluded (the ratio is
     0/0 there); a cover with k = 0 or only empty sets reports ratio 0.
     """
-    check_enum_size(n, "extremal_ratio_search")
+    n = check_enum_size(n, "extremal_ratio_search")
     if n > RATIO_SEARCH_MAX_N:
         raise ValidationError(f"extremal_ratio_search: n={n} exceeds cap {RATIO_SEARCH_MAX_N}")
     if cover.n != n:

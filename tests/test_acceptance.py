@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from permchal.attacks import (
-    AttackConfig,
-    bsgs_adversary,
-    chain_preprocessing_dlog,
+    BsgsAdversary,
+    ChainPreprocessingDlog,
+    SqddhMajorityAdversary,
     run_mi_game,
-    sqddh_nonadaptive_adversary,
 )
 from permchal.bounds import evaluate_bound
 from permchal.games import (
@@ -182,7 +181,7 @@ def test_criterion_06_bsgs_sharpness_and_sweep():
     with _timed(6):
         # exhaustive witness at N=101, m=11
         game = build_game("DLOG", 101)
-        adv = bsgs_adversary(AttackConfig(n=101, t_budget=11, m=11))
+        adv = BsgsAdversary(game, 11)
         assert adv.s_bits <= 2 * 11 * math.ceil(math.log2(101))
         rng = np.random.Generator(np.random.PCG64(61))
         exhaustive_ok = all(
@@ -232,9 +231,7 @@ def test_criterion_07_adaptive_separation_exhibit():
         n, t, chains = 536_870_909, 4878, 180
         assert abs(chains * t * t / (8 * n) - 1) <= 0.02  # on the curve, within 2%
         game = build_game("DLOG", n)
-        adv = chain_preprocessing_dlog(
-            AttackConfig(n=n, t_budget=t, chains=chains, chain_length=t, seed=70)
-        )
+        adv = ChainPreprocessingDlog(game, t, s_bits=chains * 2 * (n - 1).bit_length(), seed=70)
         wins = 0
         trials = 32
         for i in range(trials):
@@ -314,9 +311,7 @@ def test_criterion_09_sqddh_advantage_sweep():
         trials = 100_000
         cells = (8, 32, 128)
         adversaries = {
-            buckets: sqddh_nonadaptive_adversary(
-                AttackConfig(n=n, t_budget=t, buckets=buckets, seed=900)
-            )
+            buckets: SqddhMajorityAdversary(game, t, s_bits=buckets, seed=900)
             for buckets in cells
         }
         outcomes = {buckets: np.zeros(trials, dtype=np.int8) for buckets in cells}
@@ -357,9 +352,7 @@ def test_criterion_10_mi_determination():
         high_fraction = 0
         coverages = []
         for r in range(runs):
-            res = run_mi_game(
-                AttackConfig(n=1009, t_budget=60, forced_correct=True), seed=1000 + r
-            )
+            res = run_mi_game(1009, 60, 1000 + r, forced_correct=True)
             assert res.instances == 4 and res.guessed == 2
             high_fraction += res.determined_fraction >= 0.95
             coverages.append(res.interval_coverage)

@@ -1,27 +1,37 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from permchal.attacks import (
-    AttackConfig,
+    ATTACKS,
+    BsgsAdversary,
+    ChainPreprocessingDlog,
+    ConstantGuessAdversary,
+    DaemenEmAdversary,
+    PollardRhoAdversary,
+    SqddhMajorityAdversary,
     bits_decode_array,
     bits_encode,
     bits_encode_array,
-    bsgs_adversary,
-    chain_preprocessing_dlog,
-    constant_guess_adversary,
-    daemen_em_adversary,
-    pollard_rho_adversary,
     run_mi_game,
-    sqddh_nonadaptive_adversary,
 )
 from permchal.errors import ValidationError
 from permchal.games import LazyPermutation, build_game, is_prime, play_game, random_sigma
-from permchal.harness import wilson_interval
+from permchal.harness import ExperimentSpec, build_adversary, run_trials, wilson_interval
 from permchal.seeding import derive_trial_seed, mix64, mix64_array, trial_generator
 
 PRIMES_TO_101 = [n for n in range(2, 102) if is_prime(n)]
+
+
+def _chains(n, length, chains, seed=0):
+    """The chain attack with ``chains`` endpoints of ``length`` steps: S is
+    2 * ceil(log2 n) bits per endpoint and t the chain length."""
+    return ChainPreprocessingDlog(
+        build_game("DLOG", n), length, s_bits=chains * 2 * (n - 1).bit_length(), seed=seed
+    )
 
 
 def _reference_chain_preprocess(adv, sigma):
@@ -98,7 +108,7 @@ class TestAdviceEncoding:
     def test_bsgs_advice_matches_the_per_entry_encoding(self, n):
         rng = np.random.Generator(np.random.PCG64(n))
         for m in sorted({1, math.isqrt(n - 1) + 1, n}):
-            adv = bsgs_adversary(AttackConfig(n=n, t_budget=m, m=m))
+            adv = BsgsAdversary(build_game("DLOG", n), m)
             for _ in range(3):
                 sigma = random_sigma(rng, n)
                 assert adv.preprocess(sigma) == _reference_bsgs_preprocess(adv, sigma)
@@ -106,29 +116,39 @@ class TestAdviceEncoding:
     @pytest.mark.parametrize("n,t", [(16, 4), (1024, 16), (1024, 64), (4096, 8)])
     def test_daemen_advice_matches_the_per_entry_encoding(self, n, t):
         rng = np.random.Generator(np.random.PCG64(n + t))
-        adv = daemen_em_adversary(AttackConfig(n=n, t_budget=t))
+        adv = DaemenEmAdversary(build_game("EM_KR", n), t)
         for _ in range(3):
             sigma = random_sigma(rng, n)
             assert adv.preprocess(sigma) == _reference_daemen_preprocess(adv, sigma)
 
     @pytest.mark.parametrize(
-        "attack,knobs,required",
+        "attack,kind,n,t,s_bits,required,too_small",
         [
-            (bsgs_adversary, dict(n=101, t_budget=11, m=11), 11 * 2 * 7),
-            (chain_preprocessing_dlog, dict(n=101, t_budget=8, chains=3), 3 * 2 * 7),
-            (daemen_em_adversary, dict(n=1024, t_budget=16, table_budget=64), 64 * 10),
-            (sqddh_nonadaptive_adversary, dict(n=127, t_budget=8, buckets=16), 16),
+            (BsgsAdversary, "DLOG", 101, 11, None, 11 * 2 * 7, (11 * 2 * 7 - 1, "needs 154 bits")),
+            (ChainPreprocessingDlog, "DLOG", 101, 8, 3 * 2 * 7, 3 * 2 * 7, (13, "single chain")),
+            (DaemenEmAdversary, "EM_KR", 1024, 64, None, 64 * 10, (8 * 10 - 1, "needs 80 bits")),
+            (SqddhMajorityAdversary, "SQDDH", 127, 8, None, 8, (0, "bucket count")),
         ],
         ids=["bsgs", "chains", "daemen", "sqddh-majority"],
     )
-    def test_s_bits_defaults_to_the_encoded_length(self, attack, knobs, required):
-        adv = attack(AttackConfig(**knobs))
+    def test_s_bits_defaults_to_the_encoded_length(
+        self, attack, kind, n, t, s_bits, required, too_small
+    ):
+        # chains has no default: S sizes its endpoint table, and exactly fits it here
+        game = build_game(kind, n)
+        adv = attack(game, t, s_bits)
         assert adv.s_bits == required
-        sigma = random_sigma(np.random.Generator(np.random.PCG64(required)), knobs["n"])
+        sigma = random_sigma(np.random.Generator(np.random.PCG64(required)), n)
         assert len(adv.preprocess(sigma)) == required
-        assert attack(AttackConfig(**knobs, s_bits=required + 1)).s_bits == required + 1
-        with pytest.raises(ValidationError, match=f"needs {required} bits"):
-            attack(AttackConfig(**knobs, s_bits=required - 1))
+        assert attack(game, t, s_bits=required + 1).s_bits == required + 1
+        bits, message = too_small  # below the smallest table the encoding allows
+        with pytest.raises(ValidationError, match=message):
+            attack(game, t, s_bits=bits)
+
+    @pytest.mark.parametrize("attack", [BsgsAdversary, DaemenEmAdversary, SqddhMajorityAdversary])
+    def test_a_game_the_attack_does_not_play_is_rejected(self, attack):
+        with pytest.raises(ValidationError, match="does not apply"):
+            attack(build_game("DDH", 11), 4)
 
 
 class TestBsgs:
@@ -137,7 +157,7 @@ class TestBsgs:
         game = build_game("DLOG", n)
         m = math.isqrt(n - 1) + 1
         assert m * m >= n
-        adv = bsgs_adversary(AttackConfig(n=n, t_budget=m, m=m))
+        adv = BsgsAdversary(game, m)
         rng = np.random.Generator(np.random.PCG64(n))
         for _ in range(2):
             sigma = random_sigma(rng, n)
@@ -146,19 +166,19 @@ class TestBsgs:
     def test_exhaustive_success_on_a_lazy_permutation(self):
         # one lazily drawn sigma shared by every secret stays one permutation
         game = build_game("DLOG", 101)
-        adv = bsgs_adversary(AttackConfig(n=101, t_budget=11, m=11))
+        adv = BsgsAdversary(game, 11)
         sigma = LazyPermutation(101, np.random.Generator(np.random.PCG64(101)))
         assert all(play_game(game, adv, sigma, d).success for d in range(1, 102))
 
     def test_hand_simulated_small_case(self):
         game = build_game("DLOG", 5)
-        adv = bsgs_adversary(AttackConfig(n=5, t_budget=3, m=3))
+        adv = BsgsAdversary(game, 3)
         tr = play_game(game, adv, np.arange(1, 6), 3)
         assert tr.output == 3 and tr.success == 1 and tr.t2 == 3
 
     def test_single_row_table_covers_one_secret(self):
         game = build_game("DLOG", 5)
-        adv = bsgs_adversary(AttackConfig(n=5, t_budget=1, m=1))
+        adv = BsgsAdversary(game, 1)
         rng = np.random.Generator(np.random.PCG64(2))
         wins = 0
         for _ in range(100):
@@ -169,14 +189,14 @@ class TestBsgs:
     def test_first_row_match(self):
         # d = j - 0*m for a table row j matches on the first query
         game = build_game("DLOG", 11)
-        adv = bsgs_adversary(AttackConfig(n=11, t_budget=4, m=4))
+        adv = BsgsAdversary(game, 4)
         sigma = random_sigma(np.random.Generator(np.random.PCG64(3)), 11)
         tr = play_game(game, adv, sigma, 2)  # d = 2 < m: covered by i = 0
         assert tr.success == 1
 
     def test_advice_length_fits_declared_bound(self):
         n, m = 101, 11
-        adv = bsgs_adversary(AttackConfig(n=n, t_budget=m, m=m))
+        adv = BsgsAdversary(build_game("DLOG", n), m)
         assert adv.s_bits == 2 * m * math.ceil(math.log2(n))
         rng = np.random.Generator(np.random.PCG64(4))
         for _ in range(20):
@@ -184,7 +204,7 @@ class TestBsgs:
 
     def test_table_overflow_rejected(self):
         with pytest.raises(ValidationError):
-            bsgs_adversary(AttackConfig(n=101, t_budget=11, m=11, s_bits=100))
+            BsgsAdversary(build_game("DLOG", 101), 11, s_bits=100)
 
 
 class TestPollardRho:
@@ -196,8 +216,8 @@ class TestPollardRho:
             None,
             10000,
             master=5,
-            adversary_factory=lambda i: pollard_rho_adversary(
-                AttackConfig(n=101, t_budget=budget, seed=derive_trial_seed(6, i))
+            adversary_factory=lambda i: PollardRhoAdversary(
+                game, budget, seed=derive_trial_seed(6, i)
             ),
         )
         assert rate >= 0.5
@@ -209,9 +229,7 @@ class TestPollardRho:
         for trial in range(60):
             sigma = random_sigma(rng, 5)
             for d in range(1, 6):
-                adv = pollard_rho_adversary(
-                    AttackConfig(n=5, t_budget=25, seed=derive_trial_seed(8, trial * 5 + d))
-                )
+                adv = PollardRhoAdversary(game, 25, seed=derive_trial_seed(8, trial * 5 + d))
                 solved[d] += play_game(game, adv, sigma, d).success
         assert all(v > 0 for v in solved.values())
         assert sum(solved.values()) / 300 > 0.8
@@ -220,7 +238,7 @@ class TestPollardRho:
         game = build_game("DLOG", 101)
         rng = np.random.Generator(np.random.PCG64(9))
         for i in range(50):
-            adv = pollard_rho_adversary(AttackConfig(n=101, t_budget=30, seed=i))
+            adv = PollardRhoAdversary(game, 30, seed=i)
             tr = play_game(game, adv, random_sigma(rng, 101), game.sample_secret(rng))
             assert tr.total_queries <= 30
 
@@ -229,18 +247,14 @@ class TestChainPreprocessing:
     def test_constant_success_on_the_tradeoff_curve(self):
         # chains * length^2 = 32 * 16^2 = 8192 ~ 8 * 1009
         game = build_game("DLOG", 1009)
-        adv = chain_preprocessing_dlog(
-            AttackConfig(n=1009, t_budget=16, chains=32, chain_length=16, seed=11)
-        )
+        adv = _chains(1009, 16, 32, seed=11)
         rate = _success_rate(game, adv, 1000, master=12)
         assert rate >= 0.5
 
     def test_lazy_permutation_agrees_with_materialised_sigma(self):
         # the same attack on both sigma backends: the Wilson intervals overlap
         game = build_game("DLOG", 1009)
-        adv = chain_preprocessing_dlog(
-            AttackConfig(n=1009, t_budget=16, chains=32, chain_length=16, seed=11)
-        )
+        adv = _chains(1009, 16, 32, seed=11)
         trials = 1000
         intervals = []
         for make_sigma in (random_sigma, lambda rng, n: LazyPermutation(n, rng)):
@@ -253,26 +267,21 @@ class TestChainPreprocessing:
         (lo_a, hi_a), (lo_b, hi_b) = intervals
         assert lo_a <= hi_b and lo_b <= hi_a, intervals
 
-    def test_zero_budget_is_a_bare_guess(self):
+    def test_validation(self):
         game = build_game("DLOG", 101)
-        adv = chain_preprocessing_dlog(
-            AttackConfig(n=101, t_budget=0, chains=4, chain_length=8, seed=13)
-        )
-        rate = _success_rate(game, adv, 4000, master=14)
-        assert rate == pytest.approx(1 / 101, abs=0.01)
+        with pytest.raises(ValidationError, match="needs s_bits"):
+            ChainPreprocessingDlog(game, 8)
+        with pytest.raises(ValidationError, match="chain length"):
+            ChainPreprocessingDlog(game, 0, s_bits=4 * 14)  # t is the chain length
 
     def test_advice_fits_bound(self):
-        adv = chain_preprocessing_dlog(
-            AttackConfig(n=1009, t_budget=16, chains=32, chain_length=16)
-        )
+        adv = _chains(1009, 16, 32)
         assert adv.s_bits == 32 * 2 * 10
         sigma = random_sigma(np.random.Generator(np.random.PCG64(15)), 1009)
         assert len(adv.preprocess(sigma)) <= adv.s_bits
 
     def test_endpoint_collisions_reported(self):
-        adv = chain_preprocessing_dlog(
-            AttackConfig(n=101, t_budget=20, chains=20, chain_length=20, seed=1)
-        )
+        adv = _chains(101, 20, 20, seed=1)
         sigma = random_sigma(np.random.Generator(np.random.PCG64(16)), 101)
         adv.preprocess(sigma)
         assert 0 <= adv.last_endpoint_collisions < 20
@@ -283,9 +292,7 @@ class TestChainPreprocessing:
         n, chains, length = 101, 8, 6
         counts = []
         for seed in range(12):
-            adv = chain_preprocessing_dlog(
-                AttackConfig(n=n, t_budget=length, chains=chains, chain_length=length, seed=seed)
-            )
+            adv = _chains(n, length, chains, seed=seed)
             sigma = random_sigma(np.random.Generator(np.random.PCG64(100 + seed)), n)
             advice = adv.preprocess(sigma)
             paths = []
@@ -316,9 +323,7 @@ class TestChainPreprocessing:
         # all chains in lockstep over batched reads: the same advice and
         # merge count as the scalar walk, seed by seed
         for seed in range(200):
-            adv = chain_preprocessing_dlog(
-                AttackConfig(n=n, t_budget=length, chains=chains, chain_length=length, seed=seed)
-            )
+            adv = _chains(n, length, chains, seed=seed)
             sigma = random_sigma(trial_generator(300 + chains, seed), n)
             advice = adv.preprocess(sigma)
             assert (advice, adv.last_endpoint_collisions) == _reference_chain_preprocess(adv, sigma)
@@ -327,7 +332,7 @@ class TestChainPreprocessing:
 class TestDaemen:
     def test_planted_keys_recovered_exactly(self):
         game = build_game("EM_KR", 1024)
-        adv = daemen_em_adversary(AttackConfig(n=1024, t_budget=64))
+        adv = DaemenEmAdversary(game, 64)
         rng = np.random.Generator(np.random.PCG64(16))
         # keys planted so that some queried message lands in the table
         cases = 0
@@ -344,13 +349,13 @@ class TestDaemen:
     def test_full_coverage_budget_succeeds(self):
         # t1 * t2 = 64 * 64 = 4n at n = 1024: every k1 is covered
         game = build_game("EM_KR", 1024)
-        adv = daemen_em_adversary(AttackConfig(n=1024, t_budget=64, table_budget=64))
+        adv = DaemenEmAdversary(game, 64, s_bits=64 * 10)
         rate = _success_rate(game, adv, 1500, master=17)
         assert rate >= 0.99
 
     def test_partial_coverage_matches_scale(self):
         game = build_game("EM_KR", 1024)
-        adv = daemen_em_adversary(AttackConfig(n=1024, t_budget=16, table_budget=64))
+        adv = DaemenEmAdversary(game, 16, s_bits=64 * 10)
         rate = _success_rate(game, adv, 4000, master=18)
         predicted = adv.t1 * adv.t2 / (4 * 1024)
         assert 0.5 * predicted <= rate <= 1.5 * predicted
@@ -359,27 +364,23 @@ class TestDaemen:
         game = build_game("EM_KR", 1024)
         rates = []
         for t2 in (8, 16, 32, 64):
-            adv = daemen_em_adversary(AttackConfig(n=1024, t_budget=t2, table_budget=64))
+            adv = DaemenEmAdversary(game, t2, s_bits=64 * 10)
             rates.append(_success_rate(game, adv, 2500, master=19))
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
     def test_advice_is_t1_log_n_bits(self):
-        adv = daemen_em_adversary(AttackConfig(n=1024, t_budget=64, table_budget=64))
-        assert adv.s_bits == 64 * 10
+        adv = DaemenEmAdversary(build_game("EM_KR", 1024), 64)
+        assert adv.t1 == 64 and adv.s_bits == 64 * 10
         sigma = random_sigma(np.random.Generator(np.random.PCG64(20)), 1024)
         assert len(adv.preprocess(sigma)) == adv.s_bits
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            daemen_em_adversary(AttackConfig(n=1000, t_budget=16))  # not a power of two
+            DaemenEmAdversary(build_game("EM_KR", 1000), 16)  # not a power of two
         with pytest.raises(ValidationError):
-            daemen_em_adversary(AttackConfig(n=1024, t_budget=10))  # budget not 4k
-        with pytest.raises(ValidationError):
-            daemen_em_adversary(AttackConfig(n=1024, t_budget=16, table_budget=24))
-        with pytest.raises(ValidationError):
-            daemen_em_adversary(AttackConfig(n=1024, t_budget=16, alpha=0))
-        with pytest.raises(ValidationError):
-            daemen_em_adversary(AttackConfig(n=1024, t_budget=16, table_budget=64, alpha=5))
+            DaemenEmAdversary(build_game("EM_KR", 1024), 10)  # budget not 4k
+        with pytest.raises(ValidationError, match="exceeds the domain"):
+            DaemenEmAdversary(build_game("EM_KR", 4), 4)  # no 8-point table fits
 
 
 class TestSqddhMajority:
@@ -387,9 +388,7 @@ class TestSqddhMajority:
         # with one bucket per pair the majority is the pair's own bit
         n = 127
         game = build_game("SQDDH", n)
-        adv = sqddh_nonadaptive_adversary(
-            AttackConfig(n=n, t_budget=8, buckets=n * 8, seed=21)
-        )
+        adv = SqddhMajorityAdversary(game, 8, s_bits=n * 8, seed=21)
         rng = np.random.Generator(np.random.PCG64(22))
         hits = agree = 0
         for i in range(4000):
@@ -414,7 +413,7 @@ class TestSqddhMajority:
     def test_unmarked_walks_answer_like_a_coin(self):
         n = 127
         game = build_game("SQDDH", n)
-        adv = sqddh_nonadaptive_adversary(AttackConfig(n=n, t_budget=8, buckets=8, seed=23))
+        adv = SqddhMajorityAdversary(game, 8, s_bits=8, seed=23)
         rng = np.random.Generator(np.random.PCG64(24))
         outputs = []
         for _ in range(6000):
@@ -443,9 +442,7 @@ class TestSqddhMajority:
         game = build_game("SQDDH", n)
         rates = []
         for buckets in (8, 128):
-            adv = sqddh_nonadaptive_adversary(
-                AttackConfig(n=n, t_budget=16, buckets=buckets, seed=123)
-            )
+            adv = SqddhMajorityAdversary(game, 16, s_bits=buckets, seed=123)
             rates.append(_success_rate(game, adv, 3000, master=25))
         band = 3 * math.sqrt(0.25 / 3000)
         assert rates[1] - 0.5 > band
@@ -454,13 +451,13 @@ class TestSqddhMajority:
     @pytest.mark.parametrize("buckets", [8, 32, 128])
     def test_advice_matches_the_reference(self, buckets):
         n = 8191
-        adv = sqddh_nonadaptive_adversary(AttackConfig(n=n, t_budget=16, buckets=buckets, seed=900))
+        adv = SqddhMajorityAdversary(build_game("SQDDH", n), 16, s_bits=buckets, seed=900)
         for i in range(20):
             sigma = random_sigma(trial_generator(901, i), n)
             assert adv.preprocess(sigma) == _reference_sqddh_preprocess(adv, sigma)
 
     def test_advice_is_bucket_count_bits(self):
-        adv = sqddh_nonadaptive_adversary(AttackConfig(n=127, t_budget=8, buckets=32))
+        adv = SqddhMajorityAdversary(build_game("SQDDH", 127), 8, s_bits=32)
         sigma = random_sigma(np.random.Generator(np.random.PCG64(26)), 127)
         assert len(adv.preprocess(sigma)) == 32 == adv.s_bits
 
@@ -472,58 +469,150 @@ class TestConstantGuess:
     )
     def test_rate_matches_answer_space(self, kind, n, space):
         game = build_game(kind, n)
-        adv = constant_guess_adversary(game)
+        adv = ConstantGuessAdversary(game, 0)
         rate = _success_rate(game, adv, 20000, master=27)
         assert abs(rate - 1 / space) <= 4 * math.sqrt((1 / space) * (1 - 1 / space) / 20000)
 
 
 class TestMiGame:
     def test_single_instance_vacuous(self):
-        res = run_mi_game(
-            AttackConfig(n=101, t_budget=10, instances=1, guess_count=1), seed=0
-        )
+        res = run_mi_game(101, 10, 0, instances=1, guess_count=1)
         assert res.determined_fraction == 0.0
         assert res.instances == 1
 
     def test_forced_correct_determination(self):
         good = 0
         for r in range(40):
-            res = run_mi_game(
-                AttackConfig(n=1009, t_budget=60, forced_correct=True), seed=1000 + r
-            )
+            res = run_mi_game(1009, 60, 1000 + r, forced_correct=True)
             assert res.instances == 4 and res.guessed == 2
             good += res.determined_fraction >= 0.95
         assert good >= 36
 
     def test_forced_correct_runs_are_all_correct_when_determined(self):
-        res = run_mi_game(AttackConfig(n=1009, t_budget=60, forced_correct=True), seed=5)
+        res = run_mi_game(1009, 60, 5, forced_correct=True)
         if res.determined_fraction == 1.0:
             assert res.all_correct == 1
 
     def test_interval_coverage_statistic(self):
         covs = [
-            run_mi_game(
-                AttackConfig(n=1009, t_budget=60, forced_correct=True), seed=2000 + r
-            ).interval_coverage
+            run_mi_game(1009, 60, 2000 + r, forced_correct=True).interval_coverage
             for r in range(40)
         ]
         assert sum(covs) / len(covs) >= 0.95
 
     def test_unforced_mode_rarely_all_correct(self):
-        res = run_mi_game(AttackConfig(n=1009, t_budget=60), seed=3)
+        res = run_mi_game(1009, 60, 3)
         assert res.all_correct in (0, 1)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            run_mi_game(AttackConfig(n=1024, t_budget=10), seed=0)  # not prime
+            run_mi_game(1024, 10, 0)  # not prime
         with pytest.raises(ValidationError):
-            run_mi_game(AttackConfig(n=101, t_budget=7), seed=0)  # odd budget
+            run_mi_game(101, 7, 0)  # odd budget
         with pytest.raises(ValidationError):
-            run_mi_game(AttackConfig(n=101, t_budget=10), seed=-1)
-        with pytest.raises(ValidationError):
-            run_mi_game(AttackConfig(n=101, t_budget=10, seed=-1))  # the config's seed
+            run_mi_game(101, 10, -1)
 
     @pytest.mark.parametrize("guess_count", [-3, 1.5])
     def test_bad_guess_count_rejected(self, guess_count):
         with pytest.raises(ValidationError, match="guess count"):
-            run_mi_game(AttackConfig(n=101, t_budget=10, guess_count=guess_count), seed=0)
+            run_mi_game(101, 10, 0, guess_count=guess_count)
+
+    @pytest.mark.parametrize("instances", [-1, 2.5, "4"])
+    def test_bad_instances_rejected(self, instances):
+        with pytest.raises(ValidationError, match="instances"):
+            run_mi_game(101, 10, 0, instances=instances)
+
+
+# (game, attack, n, t, s_bits): the sweep-bulk and sweep-grid benchmark points,
+# then two edge points per attack
+CONSTRUCTION_POINTS = [
+    ("dlog", "bsgs", 101, 5, None), ("dlog", "bsgs", 101, 11, None),
+    ("dlog", "bsgs", 1009, 16, None), ("dlog", "bsgs", 1009, 32, None),
+    ("dlog", "rho", 101, 32, None), ("dlog", "rho", 1009, 64, None), ("dlog", "rho", 1009, 128, None),
+    ("dlog", "chains", 101, 8, 8 * 2 * 7), ("dlog", "chains", 1009, 16, 32 * 2 * 10),
+    ("dlog", "guess", 101, 1, None), ("dlog", "guess", 1009, 1, None),
+    ("dlog", "mi", 101, 10, None), ("dlog", "mi", 1009, 60, None),
+    ("ddh", "guess", 13, 1, None), ("ddh", "guess", 101, 1, None),
+    ("sqddh", "guess", 31, 1, None), ("sqddh", "guess", 127, 1, None),
+    ("em", "guess", 64, 1, None), ("em", "guess", 256, 1, None),
+    ("em1k", "guess", 64, 1, None), ("em1k", "guess", 256, 1, None),
+    ("sqddh", "sqddh-majority", 127, 8, 16), ("sqddh", "sqddh-majority", 8191, 16, 128),
+    ("em", "daemen", 256, 16, None), ("em", "daemen", 1024, 32, None),
+    ("dlog", "bsgs", 2, 1, None), ("dlog", "bsgs", 101, 101, None),
+    ("dlog", "rho", 2, 4, None), ("dlog", "rho", 101, 4, None),
+    ("dlog", "chains", 3, 1, 4), ("dlog", "chains", 101, 8, 3 * 14 + 13),
+    ("em", "daemen", 8, 4, None), ("em", "daemen", 16, 64, 8 * 4 + 3),
+    ("sqddh", "sqddh-majority", 3, 2, None), ("sqddh", "sqddh-majority", 5, 2, 1),
+    ("em1k", "guess", 2, 0, 5), ("ddh", "guess", 2, 0, None),
+    ("dlog", "mi", 3, 2, None), ("dlog", "mi", 101, 10, 7),
+]
+
+# taken on the code that built attacks through AttackConfig and from_spec
+CONSTRUCTION_DIGEST = "6ae46764e7e9f766ca853a3aa5327b640258a258f96ce460ac43c9637dacd0ff"
+
+
+def _construction_record(index, point):
+    """What the harness's adversary for one point declares and does on three
+    trials: S, the fixed plan, and per trial the advice and transcript."""
+    game_alias, attack, n, t, s_bits = point
+    spec = ExperimentSpec(game_alias, attack, n, t, trials=3, master_seed=1000 + index, s_bits=s_bits)
+    game = build_game(spec.kind, n)
+    adversary = build_adversary(spec, game, derive_trial_seed(spec.master_seed, 0))
+    record = [point, adversary.s_bits, list(getattr(adversary, "queries", []))]
+    if ATTACKS[attack].own_game:
+        return record + [run_trials(spec).successes]
+    for i in range(3):
+        if ATTACKS[attack].reseeded:
+            adversary = build_adversary(spec, game, derive_trial_seed(spec.master_seed, i))
+        rng = trial_generator(spec.master_seed, i)
+        sigma = random_sigma(rng, n)
+        tr = play_game(game, adversary, sigma, game.sample_secret(rng))
+        record.append([tr.advice, tr.inner_answers, tr.outer_answers, tr.output, tr.success])
+    return record
+
+
+def _construction_digest():
+    records = [_construction_record(i, point) for i, point in enumerate(CONSTRUCTION_POINTS)]
+    return hashlib.sha256(json.dumps(records, default=int).encode()).hexdigest()
+
+
+def _balanced_daemen_t1(n, t):
+    """The XOR-difference table size when S is not given: t1 * t = 4n where
+    it can, rounded down to a power of two >= 8."""
+    raw = max(8, min(n, 4 * n // t))
+    return 1 << (raw.bit_length() - 1)
+
+
+class TestConstruction:
+    def test_every_attack_builds_as_before(self):
+        assert _construction_digest() == CONSTRUCTION_DIGEST
+
+    def test_daemen_table_is_the_balanced_one_where_s_allows(self):
+        # every spec whose S holds the balanced table keeps t1, the stored
+        # points and the plan; a smaller S builds the largest table it holds
+        kept = shrunk = 0
+        for n in (1 << j for j in range(2, 13)):
+            game, width = build_game("EM_KR", n), (n - 1).bit_length()
+            for t in range(4, 129, 4):
+                t1 = _balanced_daemen_t1(n, t)
+                half = t1 // 2
+                for s_bits in (None, 0, 7 * width, 8 * width - 1, 8 * width,
+                               t1 * width - 1, t1 * width, t1 * width + 1, 50_000):
+                    if t1 > n or (s_bits is not None and s_bits < 8 * width):
+                        with pytest.raises(ValidationError):
+                            DaemenEmAdversary(game, t, s_bits)
+                        continue
+                    adv = DaemenEmAdversary(game, t, s_bits)
+                    if s_bits is None or s_bits >= t1 * width:
+                        kept += 1
+                        bases = [(r * t1) % n for r in range(t // 4)]
+                        assert adv.t1 == t1 and adv.alpha == half
+                        assert adv.stored == list(range(half)) + [x ^ half for x in range(half)]
+                        assert adv.queries == [q + 1 for b in bases
+                                               for q in (b, b ^ half, b ^ 1, b ^ half ^ 1)]
+                        assert adv.s_bits == (t1 * width if s_bits is None else s_bits)
+                    else:
+                        shrunk += 1
+                        assert adv.t1 * width <= s_bits < 2 * adv.t1 * width
+                        assert len(adv.stored) == adv.t1
+        assert kept > 1000 and shrunk > 100

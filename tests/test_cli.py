@@ -3,8 +3,9 @@ import json
 import pytest
 
 from permchal import cli
-from permchal.attacks import AttackConfig, BsgsAdversary
+from permchal.attacks import ATTACKS, Attack
 from permchal.errors import ContractViolation
+from permchal.games import GameKind, NonAdaptiveAdversary
 
 
 def run_cli(capsys, *argv):
@@ -93,14 +94,23 @@ class TestGameCommand:
         assert "synthetic violation" in err
 
     def test_plan_over_the_query_budget_exit_code(self, capsys, monkeypatch):
-        # a table one column wider than the budget t plans t + 1 outer queries
-        def too_wide(cls, spec, game, trial_seed):
-            return cls(AttackConfig(n=spec.n, t_budget=spec.t, m=spec.t + 1))
+        class OverBudget(Attack, NonAdaptiveAdversary):
+            """Plans t + 1 outer queries against the budget t."""
 
-        monkeypatch.setattr(BsgsAdversary, "from_spec", classmethod(too_wide))
+            name = "over-budget"
+            games = frozenset({GameKind.DLOG})
+
+            def __init__(self, game, t, s_bits=None, seed=0):
+                super().__init__(s_bits, t)
+                self.queries = [(1, b) for b in range(1, t + 2)]
+
+            def decide(self, z, inner_answers, outer_answers):
+                return 1
+
+        monkeypatch.setitem(ATTACKS, OverBudget.name, OverBudget)
         code, _, err = run_cli(
             capsys,
-            "game", "--game", "dlog", "--attack", "bsgs",
+            "game", "--game", "dlog", "--attack", "over-budget",
             "--n", "101", "--t", "5", "--trials", "3",
         )
         assert code == 3

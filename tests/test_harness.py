@@ -1,6 +1,8 @@
 import io
+import itertools
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -144,9 +146,9 @@ class _ToyAdaptive(Attack, AdaptiveAdversary):
     name = "toy-adaptive"
     games = frozenset({GameKind.DLOG})
 
-    def __init__(self, cfg):
-        super().__init__(s_bits=0, t_budget=cfg.t_budget)
-        self.n = cfg.n
+    def __init__(self, game, t, s_bits=None, seed=0):
+        self.n = self._game_size(game)
+        super().__init__(s_bits=0, t_budget=t)
 
     def run(self, z, oracle):
         y = oracle.outer((1, self.n))  # sigma(d): a = 1, b = the element n (zero)
@@ -163,6 +165,19 @@ class TestAttackRegistry:
         else:
             with pytest.raises(ValidationError):
                 ExperimentSpec(game=game, attack=attack, n=11, t=2, trials=1)
+
+    def test_readme_table_lists_the_registry(self):
+        # name, class and games of every row, in registry order
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            table = fh.read().split("| attack | class | games | adaptive |", 1)[1].splitlines()[2:]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in itertools.takewhile(lambda line: line.startswith("|"), table)]
+        assert [(name, cls, {GAME_ALIASES[g] for g in games.split(", ")}, adaptive.split()[0])
+                for name, cls, games, adaptive, _ in rows] == [
+            (f"`{name}`", f"`{cls.__name__}`", set(cls.games), "yes" if cls.adaptive else "no")
+            for name, cls in ATTACKS.items()
+        ]
 
     def test_unknown_attack_rejected(self):
         with pytest.raises(ValidationError):

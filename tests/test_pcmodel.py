@@ -142,7 +142,7 @@ class TestGameDeclarations:
         }
 
     def test_constant_guess_defaults(self):
-        values = [ConstantGuessAdversary(build_game(kind, n)).value for kind, n in DESK_GAMES]
+        values = [ConstantGuessAdversary(build_game(kind, n), 0).value for kind, n in DESK_GAMES]
         assert values == [1, 0, 0, (1, 1), 1]
 
 

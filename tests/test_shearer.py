@@ -60,6 +60,20 @@ class TestPermutationRanking:
         with pytest.raises(ValidationError):
             permutation_matrix(9)
 
+    def test_numpy_sizes_pass_and_non_integers_fail(self):
+        n = np.int64(3)
+        assert BijectionDistribution.uniform(n).n == 3
+        assert permutation_matrix(n).shape == (6, 3)
+        assert extremal_ratio_search(n, singleton_cover(3), trials=1, seed=0).best_ratio > 0
+        for bad in (3.0, "3", None):
+            for build in (
+                BijectionDistribution.uniform,
+                permutation_matrix,
+                lambda m: extremal_ratio_search(m, singleton_cover(3), trials=1, seed=0),
+            ):
+                with pytest.raises(ValidationError):
+                    build(bad)
+
 
 class TestBijectionDistribution:
     def test_validation(self):
