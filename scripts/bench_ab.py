@@ -4,7 +4,8 @@
     python3 scripts/bench_ab.py --base HEAD~1 --out BENCH_<n>.json \\
         [--repeats 5] [--criteria 07 09] [--workloads sweep-grid ...] [--workdir DIR]
 
-Run from the repository root. The base commit is exported with
+Run from the repository root. The base revision is resolved to its commit
+hash, which the report records, and that commit is exported with
 ``git archive`` into a scratch directory (``--workdir``, default a new
 temporary directory, removed afterwards), so the repository's own ``.git``
 is left as it is. For each workload in ``BENCHMARK.json`` (or each one
@@ -63,6 +64,15 @@ def select_workloads(declared: dict, names) -> list:
     if unknown:
         raise ValueError(f"workloads not in BENCHMARK.json: {unknown}; declared: {order}")
     return [name for name in order if names is None or name in names]
+
+
+def resolve_commit(rev: str) -> str:
+    """The full hash of the commit ``rev`` names, by ``git rev-parse``."""
+    proc = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise ValueError(f"--base {rev!r} names no commit")
+    return proc.stdout.strip()
 
 
 def export_tree(rev: str, dest: str) -> str:
@@ -199,8 +209,9 @@ def main(argv=None) -> int:
     workloads = select_workloads(declared, args.workloads)
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     seconds = declared["run_seconds"]
+    base = resolve_commit(args.base)
     workdir = args.workdir or tempfile.mkdtemp(prefix="bench_ab_")
-    base_tree = export_tree(args.base, os.path.join(workdir, "base"))
+    base_tree = export_tree(base, os.path.join(workdir, "base"))
     trees = {"base": base_tree, "change": ROOT}
     try:
         runs = []
@@ -213,7 +224,7 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {pair} {side}: wall_s {wall:.4f}", file=sys.stderr)
         criteria = time_criteria_pairs(trees, args.criteria, args.repeats) if args.criteria else {}
         report = {
-            "base": args.base,
+            "base": base,
             "change": "working tree",
             "nproc": os.cpu_count(),
             "seconds_per_run": seconds,

@@ -106,6 +106,15 @@ class Attack:
             raise ValidationError(f"attack {cls.name!r} does not apply to game {game.alias!r}")
         return game.n
 
+    @classmethod
+    def _no_advice(cls, s_bits: Optional[int]) -> int:
+        """S of an attack that reads no advice: 0, given as 0 or not at all."""
+        if s_bits:
+            raise ValidationError(
+                f"attack {cls.name!r} reads no advice: s_bits must be 0 or unset, not {s_bits}"
+            )
+        return 0
+
 
 # ---------------------------------------------------------------------------
 # Baby-step giant-step (non-adaptive, hidden-exponent search)
@@ -161,7 +170,8 @@ class PollardRhoAdversary(Attack, AdaptiveAdversary):
     the partition class of the current encoding picks the update
     (a+1, b), (2a, 2b) or (a, b+1). A collision with distinct exponent
     pairs solves the secret; degenerate collisions re-randomize the
-    start, bounded by the query budget.
+    start, bounded by the query budget. It reads no advice, so S is 0 or
+    not given.
     """
 
     name = "rho"
@@ -172,7 +182,7 @@ class PollardRhoAdversary(Attack, AdaptiveAdversary):
         self.n = self._game_size(game)
         if t < 4:
             raise ValidationError("query budget too small")
-        super().__init__(s_bits=0, t_budget=t)
+        super().__init__(s_bits=self._no_advice(s_bits), t_budget=t)
         self.seed = seed
 
     def run(self, z: str, oracle):
@@ -455,14 +465,14 @@ class SqddhMajorityAdversary(Attack, NonAdaptiveAdversary):
 class ConstantGuessAdversary(Attack, NonAdaptiveAdversary):
     """Zero queries, constant output; the floor every attack must beat.
 
-    The output is the target of the game's first secret; it declares no
-    advice whatever S is."""
+    The output is the target of the game's first secret. It reads no
+    advice, so S is 0 or not given."""
 
     name = "guess"
     games = frozenset(GameKind)
 
     def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
-        super().__init__(s_bits=0, t_budget=t)  # it plays every game: nothing to check
+        super().__init__(s_bits=self._no_advice(s_bits), t_budget=t)  # it plays every game
         self.value = game.success_target(next(game.iter_secrets()))
 
     def decide(self, z: str, inner_answers, outer_answers):

@@ -51,7 +51,9 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--game", choices=sorted(GAME_ALIASES), required=True)
     p.add_argument("--attack", choices=sorted(ATTACKS), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s-bits", type=int, default=None)
+    p.add_argument("--s-bits", type=int, default=None,
+                   help="advice bound S in bits; default: the length the attack's advice needs. "
+                        "An attack that reads no advice (README's attack table) takes only 0")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -75,8 +75,10 @@ def is_power_of_two(n: int) -> bool:
 
 
 def random_sigma(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform permutation of [n] as a 1-based value array (Fisher-Yates)."""
-    return rng.permutation(n).astype(np.int64) + 1
+    """Uniform permutation of [n] as a 1-based int64 value array (Fisher-Yates)."""
+    sigma = rng.permutation(n)  # int64 already: shift it in place
+    sigma += 1
+    return sigma
 
 
 def _sample_outside(n: int, excluded, rng: np.random.Generator) -> int:
@@ -259,7 +261,9 @@ class PCGame:
     def translate(self, secret, m) -> int:
         return self.element_from_index(self.translate_index(secret, m))
 
-    def post_process(self, secret, j: int) -> int:
+    def post_process(self, secret, j):
+        """The answer to an outer query that read sigma's value j; also
+        elementwise on an integer array of values."""
         return j
 
     @cached_property
@@ -356,7 +360,8 @@ class DdhGame(_DecisionGame):
         if not (isinstance(m, tuple) and len(m) == 4):
             raise ValidationError("DDH outer query must be (a1, a2, a3, b)")
         a1, a2, a3, b = m
-        if not all(1 <= v <= self.n for v in m):
+        n = self.n
+        if not (1 <= a1 <= n and 1 <= a2 <= n and 1 <= a3 <= n and 1 <= b <= n):
             raise ValidationError(f"DDH outer query {m!r} out of range")
         if a1 == self.n and a2 == self.n and a3 == self.n:
             raise ValidationError("DDH outer query with a1=a2=a3=0 is an inner query")
@@ -382,7 +387,8 @@ class SqddhGame(_DecisionGame):
         if not (isinstance(m, tuple) and len(m) == 3):
             raise ValidationError("sqDDH outer query must be (a1, a2, b)")
         a1, a2, b = m
-        if not all(1 <= v <= self.n for v in m):
+        n = self.n
+        if not (1 <= a1 <= n and 1 <= a2 <= n and 1 <= b <= n):
             raise ValidationError(f"sqDDH outer query {m!r} out of range")
         if a1 == self.n and a2 == self.n:
             raise ValidationError("sqDDH outer query with a1=a2=0 is an inner query")
@@ -452,7 +458,7 @@ class EmKrGame(_EmGame):
     def _coefficients(self, secret):
         return self._bits(secret[0])
 
-    def post_process(self, secret, j: int) -> int:
+    def post_process(self, secret, j):
         return (self._bits(j) ^ self._bits(secret[1])) + 1
 
 
@@ -463,7 +469,7 @@ class EmKrSingleGame(_EmGame):
     def _coefficients(self, secret):
         return self._bits(secret)
 
-    def post_process(self, secret, j: int) -> int:
+    def post_process(self, secret, j):
         return (self._bits(j) ^ self._bits(secret)) + 1
 
 
@@ -551,9 +557,11 @@ class AdaptiveAdversary(_Adversary):
 class GameOracle:
     """The one query interface of a game: answers, counts and logs queries.
 
-    Adaptive adversaries drive it directly; ``play_game`` answers a
-    non-adaptive plan through one. ``sigma`` is a permutation array or a
-    ``LazyPermutation``, as in ``play_game``.
+    Adaptive adversaries drive it one query at a time; ``play_game``
+    answers a non-adaptive plan with ``answer_plan``. ``sigma`` is a
+    permutation array or a ``LazyPermutation``, as in ``play_game``. A
+    query is validated before it is charged to the budget T, so a rejected
+    query leaves ``remaining`` as it was.
     """
 
     def __init__(
@@ -564,54 +572,94 @@ class GameOracle:
         self._inv: Optional[np.ndarray] = None
         self._secret = secret
         self._coefficients = game._coefficients(secret)
-        self._budget = t_budget
+        self._left = t_budget
         self.inner_log: list = []
         self.outer_log: list = []
 
     @property
-    def t1(self) -> int:
-        return len(self.inner_log)
-
-    @property
-    def t2(self) -> int:
-        return len(self.outer_log)
-
-    @property
-    def total(self) -> int:
-        return self.t1 + self.t2
-
-    @property
     def remaining(self) -> Optional[int]:
-        return None if self._budget is None else self._budget - self.total
+        """Queries left of the budget T; None when it is unbounded."""
+        return self._left
 
-    def _charge(self) -> None:
-        if self._budget is not None and self.total >= self._budget:
-            raise ContractViolation(f"query budget {self._budget} exceeded")
+    def _spend(self, count: int) -> None:
+        if self._left is not None:
+            if count > self._left:
+                raise ContractViolation(f"query budget exceeded: {count} asked, {self._left} left")
+            self._left -= count
 
-    def inner(self, i: int, inverse: bool = False) -> int:
-        self._charge()
+    def _check_inner(self, i, inverse: bool) -> None:
         game = self._game
         if inverse and not game.allow_inverse_inner:
             raise ContractViolation(f"{game.kind.value} forbids inverse inner queries")
         if not (isinstance(i, (int, np.integer)) and 1 <= i <= game.n):
             raise ValidationError(f"inner query {i!r} out of range [1, {game.n}]")
+
+    def _read_inner(self, i, inverse: bool) -> int:
         if inverse:
             if self._inv is None:
                 self._inv = sigma_inverse(self._sigma)
-            v = int(self._inv[i - 1])
-        else:
-            v = int(self._sigma[i - 1])
+            return int(self._inv[i - 1])
+        return int(self._sigma[i - 1])
+
+    def inner(self, i: int, inverse: bool = False) -> int:
+        self._check_inner(i, inverse)
+        self._spend(1)
+        v = self._read_inner(i, inverse)
         self.inner_log.append(v)
         return v
 
     def outer(self, m) -> int:
-        self._charge()
         game = self._game
         game.validate_outer_query(m)
+        self._spend(1)
         element = game.element_from_index(game._translate_index(self._coefficients, m))
         v = game.post_process(self._secret, int(self._sigma[element - 1]))
         self.outer_log.append(v)
         return v
+
+    def answer_plan(self, inner_queries, outer_queries) -> tuple:
+        """The inner and outer answers to a whole non-adaptive plan.
+
+        An inner query is i or (i, inverse). Every query is validated as by
+        ``inner`` and ``outer``, then the plan is charged at once, then
+        answered: the inner queries in order, the outer ones by one gather
+        ``sigma.take`` of their translated slots and one ``post_process``
+        of the values read. On an array sigma the answers are those of
+        ``inner`` and ``outer`` one after another; on a ``LazyPermutation``
+        they have the same law.
+        """
+        if not (len(inner_queries) or len(outer_queries)):
+            return (), ()  # nothing to read: a plan of no queries is common (a constant guess)
+        game = self._game
+        inner = [q if isinstance(q, tuple) else (q, False) for q in inner_queries]
+        for i, inverse in inner:
+            self._check_inner(i, inverse)
+        for m in outer_queries:
+            game.validate_outer_query(m)
+        slots = self._plan_slots(outer_queries) if len(outer_queries) else None
+        self._spend(len(inner) + len(outer_queries))
+        inner_answers = [self._read_inner(i, inverse) for i, inverse in inner]
+        outer_answers = [] if slots is None else (
+            game.post_process(self._secret, self._sigma.take(slots)).tolist()
+        )
+        self.inner_log += inner_answers
+        self.outer_log += outer_answers
+        return tuple(inner_answers), tuple(outer_answers)
+
+    def _plan_slots(self, outer_queries) -> np.ndarray:
+        """The sigma slots that valid outer queries read.
+
+        Each query is translated on its own, in exact Python integers: for
+        plans of a few dozen queries that is faster than broadcasting the
+        translation over query columns, whose dozen numpy calls on tiny
+        arrays cost more than the per-query arithmetic.
+        """
+        game, coefficients = self._game, self._coefficients
+        translate, element = game._translate_index, game.element_from_index
+        slots = np.array([element(translate(coefficients, m)) - 1 for m in outer_queries])
+        if slots.dtype.kind not in "iu":
+            raise ValidationError("outer query coordinates must be integers")
+        return slots
 
 
 def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
@@ -619,7 +667,8 @@ def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
 
     The preprocessing stage receives the whole permutation; the online
     stage is driven per the adversary's adaptivity contract, and every
-    query is answered by a ``GameOracle``. Advice over ``s_bits`` or
+    query is answered by a ``GameOracle``: an adaptive adversary drives
+    it, a non-adaptive plan is answered at once. Advice over ``s_bits`` or
     more than ``t_budget`` queries is a ``ContractViolation``.
     Success is the comparison of the output with the game's function of the secret.
     ``sigma`` is a permutation array of length n or a ``LazyPermutation``
@@ -639,25 +688,13 @@ def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
             f"advice length {len(advice)} exceeds the declared bound {adversary.s_bits}"
         )
 
+    oracle = GameOracle(game, sigma, secret, adversary.t_budget)
     if adversary.adaptive:
-        oracle = GameOracle(game, sigma, secret, adversary.t_budget)
         output = adversary.run(advice, oracle)
-        inner_answers = tuple(oracle.inner_log)
-        outer_answers = tuple(oracle.outer_log)
+        inner_answers, outer_answers = tuple(oracle.inner_log), tuple(oracle.outer_log)
     else:
         adversary._begin_trial()
-        inner_queries, outer_queries = adversary.plan(advice)
-        issued = len(inner_queries) + len(outer_queries)
-        if adversary.t_budget is not None and issued > adversary.t_budget:
-            raise ContractViolation(f"plan of {issued} queries exceeds the budget {adversary.t_budget}")
-        oracle = GameOracle(game, sigma, secret, None)
-        for q in inner_queries:
-            i, inverse = q if isinstance(q, tuple) else (q, False)
-            oracle.inner(i, inverse)
-        for m in outer_queries:
-            oracle.outer(m)
-        inner_answers = tuple(oracle.inner_log)
-        outer_answers = tuple(oracle.outer_log)
+        inner_answers, outer_answers = oracle.answer_plan(*adversary.plan(advice))
         adversary._mark_answered()
         output = adversary.decide(advice, inner_answers, outer_answers)
 

@@ -26,7 +26,7 @@ from .attacks import ATTACKS, run_mi_game
 from .bounds import evaluate_bound
 from .errors import ValidationError, nonnegative_int
 from .games import GAME_ALIASES, GAMES, GameKind, build_game, play_game, random_sigma
-from .seeding import derive_trial_seed, seeded_generator, trial_generator
+from .seeding import derive_trial_seed, seeded_generator, trial_generators
 from .shearer import (
     RATIO_SEARCH_MAX_N,
     CoverFamily,
@@ -167,14 +167,13 @@ def _run_chunk(spec: ExperimentSpec, lo: int, hi: int) -> tuple:
     game = build_game(spec.kind, spec.n)
     successes = 0
     adversary = None
-    for index in range(lo, hi):
-        tseed = derive_trial_seed(spec.master_seed, index)
-        if adversary is None or attack.reseeded:
-            adversary = build_adversary(spec, game, tseed)
+    for index, rng in zip(range(lo, hi), trial_generators(spec.master_seed, lo, hi)):
         if attack.own_game:
+            tseed = derive_trial_seed(spec.master_seed, index)
             successes += run_mi_game(spec.n, spec.t, tseed).all_correct
             continue
-        rng = trial_generator(spec.master_seed, index)
+        if adversary is None or attack.reseeded:
+            adversary = build_adversary(spec, game, derive_trial_seed(spec.master_seed, index))
         sigma = random_sigma(rng, spec.n)
         secret = game.sample_secret(rng)
         successes += play_game(game, adversary, sigma, secret).success

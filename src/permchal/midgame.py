@@ -88,8 +88,7 @@ def play_mid_game(
     """
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     sigma = sample_constrained_permutation(game.n, constraints, rng)
-    oracle = GameOracle(game, sigma, secret, None)
-    answers = tuple(oracle.outer(m) for m in outer_queries)
+    _, answers = GameOracle(game, sigma, secret, None).answer_plan((), outer_queries)
     output = decide(answers)
     return GameTranscript(
         sigma=sigma,

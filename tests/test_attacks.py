@@ -19,7 +19,7 @@ from permchal.attacks import (
     run_mi_game,
 )
 from permchal.errors import ValidationError
-from permchal.games import LazyPermutation, build_game, is_prime, play_game, random_sigma
+from permchal.games import GAME_ALIASES, LazyPermutation, build_game, is_prime, play_game, random_sigma
 from permchal.harness import ExperimentSpec, build_adversary, run_trials, wilson_interval
 from permchal.seeding import derive_trial_seed, mix64, mix64_array, trial_generator
 
@@ -543,12 +543,14 @@ CONSTRUCTION_POINTS = [
     ("dlog", "chains", 3, 1, 4), ("dlog", "chains", 101, 8, 3 * 14 + 13),
     ("em", "daemen", 8, 4, None), ("em", "daemen", 16, 64, 8 * 4 + 3),
     ("sqddh", "sqddh-majority", 3, 2, None), ("sqddh", "sqddh-majority", 5, 2, 1),
-    ("em1k", "guess", 2, 0, 5), ("ddh", "guess", 2, 0, None),
+    ("ddh", "guess", 2, 0, None),
     ("dlog", "mi", 3, 2, None), ("dlog", "mi", 101, 10, 7),
 ]
 
-# taken on the code that built attacks through AttackConfig and from_spec
-CONSTRUCTION_DIGEST = "6ae46764e7e9f766ca853a3aa5327b640258a258f96ce460ac43c9637dacd0ff"
+# taken on the code that built attacks through AttackConfig and from_spec, then
+# re-taken without the point ("em1k", "guess", 2, 0, 5) on the code just before
+# a positive S became an error for the attacks that read no advice
+CONSTRUCTION_DIGEST = "4ab9771c38a3c25c169797c0809f70f45aab0291aae22d4d895e4709293d5aa0"
 
 
 def _construction_record(index, point):
@@ -586,6 +588,18 @@ def _balanced_daemen_t1(n, t):
 class TestConstruction:
     def test_every_attack_builds_as_before(self):
         assert _construction_digest() == CONSTRUCTION_DIGEST
+
+    @pytest.mark.parametrize("game_alias,attack,n,t", [("em1k", "guess", 2, 0), ("dlog", "rho", 101, 4)])
+    def test_an_attack_without_advice_rejects_a_positive_s(self, game_alias, attack, n, t):
+        game = build_game(GAME_ALIASES[game_alias], n)
+        for s_bits in (None, 0):
+            assert ATTACKS[attack](game, t, s_bits).s_bits == 0
+        for s_bits in (1, 5):
+            with pytest.raises(ValidationError, match="reads no advice"):
+                ATTACKS[attack](game, t, s_bits)
+        spec = ExperimentSpec(game_alias, attack, n, t, trials=3, master_seed=1035, s_bits=5)
+        with pytest.raises(ValidationError, match="reads no advice"):
+            run_trials(spec)
 
     def test_daemen_table_is_the_balanced_one_where_s_allows(self):
         # every spec whose S holds the balanced table keeps t1, the stored

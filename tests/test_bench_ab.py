@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -164,6 +165,7 @@ def test_main_pairs_only_the_named_workloads(monkeypatch, tmp_path):
         ran.append((workload, seed))
         return json.loads(_line(0.1, 10))
 
+    monkeypatch.setattr(bench_ab, "resolve_commit", lambda rev: rev)
     monkeypatch.setattr(bench_ab, "export_tree", lambda rev, dest: dest)
     monkeypatch.setattr(bench_ab, "run_bench", fake_run_bench)
     monkeypatch.setattr(bench_ab, "src_lines", lambda tree: 0)
@@ -172,3 +174,32 @@ def test_main_pairs_only_the_named_workloads(monkeypatch, tmp_path):
                    "--workloads", "sweep-grid", "--workdir", str(tmp_path / "work")])
     assert ran == [("sweep-grid", 1)] * 2 + [("sweep-grid", 2)] * 2
     assert list(json.loads(out.read_text())["workloads"]) == ["sweep-grid"]
+
+
+def _commit(repo, name):
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.org"]
+    (repo / name).write_text(name)
+    subprocess.run(git + ["add", name], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", name], check=True)
+    return subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_report_records_the_resolved_base_commit(monkeypatch, tmp_path):
+    repo = tmp_path / "repo"
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps({**DECLARED, "run_seconds": 1, "end_to_end": []}))
+    first, second = _commit(repo, "a"), _commit(repo, "b")
+    monkeypatch.setattr(bench_ab, "ROOT", str(repo))
+    assert bench_ab.resolve_commit("HEAD") == second
+    assert bench_ab.resolve_commit("HEAD~1") == first
+    with pytest.raises(ValueError, match="names no commit"):
+        bench_ab.resolve_commit("no-such-revision")
+
+    exported = []
+    monkeypatch.setattr(bench_ab, "export_tree", lambda rev, dest: exported.append(rev) or dest)
+    monkeypatch.setattr(bench_ab, "run_bench", lambda *a: json.loads(_line(0.1, 10)))
+    monkeypatch.setattr(bench_ab, "src_lines", lambda tree: 0)
+    out = tmp_path / "ab.json"
+    bench_ab.main(["--base", "HEAD~1", "--out", str(out), "--repeats", "1",
+                   "--workloads", "sweep-grid", "--workdir", str(tmp_path / "work")])
+    assert json.loads(out.read_text())["base"] == first and exported == [first]

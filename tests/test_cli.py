@@ -297,6 +297,15 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert "s_bits must be non-negative" in err
 
+    @pytest.mark.parametrize("attack,t", [("guess", 1), ("rho", 8)])
+    def test_positive_s_bits_for_an_attack_without_advice_exit_code(self, capsys, attack, t):
+        argv = ["game", "--game", "dlog", "--attack", attack, "--n", "101", "--t", str(t), "--trials", "5"]
+        code, out, err = run_cli(capsys, *argv, "--s-bits", "100")
+        assert code == 2 and out == ""
+        assert f"attack '{attack}' reads no advice" in err
+        code, out, _ = run_cli(capsys, *argv, "--s-bits", "0")
+        assert code == 0 and out.splitlines()[2].startswith(f"dlog,{attack},101,0,")
+
     def test_negative_guess_count_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "mi", "--n", "101", "--t", "10", "--guess-count", "-3")
         assert code == 2 and out == ""

@@ -24,7 +24,14 @@ from permchal.harness import (
     write_csv,
     write_json,
 )
-from permchal.seeding import derive_trial_seed, mix64, mix64_array
+from permchal.seeding import (
+    _pcg64_state_words,
+    derive_trial_seed,
+    mix64,
+    mix64_array,
+    trial_generator,
+    trial_generators,
+)
 
 
 class TestSeedDerivation:
@@ -45,6 +52,28 @@ class TestSeedDerivation:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             derive_trial_seed(0, -1)
+
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("lo,size", [(0, 1), (0, 12), (0, 200), (7, 1), (41, 12), (1000, 200)])
+    def test_chunk_streams_are_the_trial_streams(self, master, lo, size):
+        chunk = list(trial_generators(master, lo, lo + size))
+        assert len(chunk) == size
+        for index, rng in zip(range(lo, lo + size), chunk):
+            want = trial_generator(master, index).integers(0, 2**64, size=64, dtype=np.uint64)
+            assert rng.integers(0, 2**64, size=64, dtype=np.uint64).tolist() == want.tolist()
+
+    def test_state_words_are_numpys_seed_hash(self):
+        seeds = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+        got = _pcg64_state_words(np.array(seeds, dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.shape == (len(seeds), 4)
+        for seed, words in zip(seeds, got):
+            assert words.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+
+    def test_empty_and_reversed_chunks(self):
+        assert list(trial_generators(3, 5, 5)) == []
+        for lo, hi in ((5, 4), (-1, 2)):
+            with pytest.raises(ValueError):
+                trial_generators(3, lo, hi)
 
     @pytest.mark.filterwarnings("error")  # uint64 array arithmetic wraps silently
     @pytest.mark.parametrize("n", [1009, 10007])

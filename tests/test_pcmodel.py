@@ -327,6 +327,103 @@ class TestPlayGame:
             play_game(g, _FixedQueryAdversary(outer=[(5, 1)]), np.arange(1, 6), 1)
 
 
+def _inner_queries(rng, game, count):
+    """Uniform inner queries, inverse ones as well where the game allows them."""
+    queries = []
+    for _ in range(count):
+        i = int(rng.integers(1, game.n + 1))
+        queries.append((i, bool(rng.integers(0, 2))) if game.allow_inverse_inner else i)
+    return queries
+
+
+class TestGameOracle:
+    @pytest.mark.parametrize("cls", list(GAMES.values()), ids=lambda cls: cls.alias)
+    def test_plan_answers_equal_scalar_queries(self, cls):
+        game = cls(8 if cls.kind in (GameKind.EM_KR, GameKind.EM_KR_SINGLE) else 7)
+        rng = np.random.Generator(np.random.PCG64(31))
+        for size in (0, 1, 2, 5, 20, 0, 3, 40) * 5:
+            sigma = random_sigma(rng, game.n)
+            secret = game.sample_secret(rng)
+            outer = [_random_outer_query(rng, game) for _ in range(size)]
+            if outer:
+                outer.append(outer[0])  # a repeated query
+            inner = _inner_queries(rng, game, size % 3)
+            oracle = GameOracle(game, sigma, secret, len(inner) + len(outer))
+            got = oracle.answer_plan(inner, outer)
+            scalar = GameOracle(game, sigma, secret, None)
+            want = (
+                tuple(scalar.inner(*(q if isinstance(q, tuple) else (q,))) for q in inner),
+                tuple(scalar.outer(m) for m in outer),
+            )
+            assert got == want
+            assert all(type(v) is int for v in got[0] + got[1])
+            assert (oracle.inner_log, oracle.outer_log) == (list(want[0]), list(want[1]))
+            assert oracle.remaining == 0
+
+    def test_plan_on_a_group_too_large_for_int64_products(self):
+        # a*d + b reaches 2^64 here: the plan is translated in Python integers
+        n = 4294967311  # the least prime above 2^32
+        game = build_game("DLOG", n)
+        sigma = LazyPermutation(n, np.random.Generator(np.random.PCG64(32)))
+        secret = n - 2
+        queries = [(n - 1, n), (n - 2, 5), (12345, n - 7), (1, n)]
+        _, answers = GameOracle(game, sigma, secret, None).answer_plan((), queries)
+        scalar = GameOracle(game, sigma, secret, None)  # reads the slots the plan drew
+        assert answers == tuple(scalar.outer(m) for m in queries)
+        assert answers[3] == sigma[secret - 1]
+
+    @pytest.mark.parametrize("t", [0, 1, 4])
+    def test_exactly_t_queries_pass(self, t):
+        game = build_game("EM_KR", 8)
+        sigma = random_sigma(np.random.Generator(np.random.PCG64(33)), 8)
+        oracle = GameOracle(game, sigma, (3, 5), t)
+        for k in range(t):
+            if k % 2:
+                oracle.inner(k + 1, inverse=k % 4 == 3)
+            else:
+                oracle.outer(k + 1)
+        assert oracle.remaining == 0
+        for query in (lambda: oracle.outer(1), lambda: oracle.inner(1)):
+            with pytest.raises(ContractViolation, match="budget"):
+                query()
+        assert GameOracle(game, sigma, (3, 5), t).answer_plan([], list(range(1, t + 1)))
+        with pytest.raises(ContractViolation, match="budget"):
+            GameOracle(game, sigma, (3, 5), t).answer_plan([1], list(range(1, t + 1)))
+
+    def test_remaining_after_mixed_queries(self):
+        game = build_game("DLOG", 11)
+        oracle = GameOracle(game, np.arange(1, 12), 4, 10)
+        oracle.inner(3)
+        oracle.outer((2, 5))
+        assert oracle.remaining == 8
+        oracle.answer_plan([1, 2], [(1, 1), (3, 3), (1, 1)])
+        assert oracle.remaining == 3
+        oracle.outer((10, 11))
+        assert oracle.remaining == 2
+        assert GameOracle(game, np.arange(1, 12), 4, None).remaining is None
+
+    def test_rejected_queries_leave_the_budget(self):
+        dlog = build_game("DLOG", 11)
+        oracle = GameOracle(dlog, np.arange(1, 12), 4, 3)
+        oracle.outer((1, 1))
+        rejected = [
+            (ValidationError, lambda: oracle.outer((11, 1))),  # a = n is an inner query
+            (ValidationError, lambda: oracle.outer((1, 2, 3))),
+            (ValidationError, lambda: oracle.inner(12)),
+            (ContractViolation, lambda: oracle.inner(2, inverse=True)),
+            (ValidationError, lambda: oracle.answer_plan([], [(1, 1), (0, 1)])),
+            (ValidationError, lambda: oracle.answer_plan([], [(1, 1), (2.0, 1)])),
+            (ValidationError, lambda: oracle.answer_plan([1, 0], [])),
+        ]
+        for error, query in rejected:
+            with pytest.raises(error):
+                query()
+            assert oracle.remaining == 2
+        assert oracle.inner_log == [] and oracle.outer_log == [5]  # sigma(1 * 4 + 1)
+        oracle.answer_plan([5], [(1, 3)])
+        assert oracle.remaining == 0
+
+
 def _s4_chi_square(read, seed):
     """Chi-square statistic over all 24 permutations of [4], each sample
     a fresh LazyPermutation resolved in full by ``read``."""
