@@ -111,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--n", type=int, required=True)
     p_b.add_argument("--s-bits", type=_int_list, required=True, help="comma-separated advice sizes")
     p_b.add_argument("--t", type=_int_list, required=True, help="comma-separated query budgets")
-    p_b.add_argument("--u", type=float, default=None)
-    p_b.add_argument("--max-s", type=float, default=None)
+    p_b.add_argument("--u", type=float, default=None, help="uniformity u, for T41 and TE1 only")
+    p_b.add_argument("--max-s", type=float, default=None,
+                     help="no-advice success maxS: overrides T11/T12/T13's default, T41 and TE1 need it")
 
     return parser
 

@@ -45,6 +45,7 @@ from .bounds import BoundTheorem
 from .errors import ContractViolation, ValidationError
 
 MAX_SECRET_ENUMERATION = 2_000_000
+_INTEGERS = (int, np.integer)
 
 
 class GameKind(str, Enum):
@@ -114,7 +115,7 @@ class LazyPermutation:
     """
 
     def __init__(self, n: int, rng: np.random.Generator):
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
+        if not (isinstance(n, _INTEGERS) and n >= 1):
             raise ValidationError(f"LazyPermutation: n={n!r} must be a positive integer")
         self.n = int(n)
         self._rng = rng
@@ -125,7 +126,7 @@ class LazyPermutation:
         return self.n
 
     def __getitem__(self, slot) -> int:
-        if not (isinstance(slot, (int, np.integer)) and 0 <= slot < self.n):
+        if not (isinstance(slot, _INTEGERS) and 0 <= slot < self.n):
             raise ValidationError(f"slot {slot!r} out of range [0, {self.n})")
         x = int(slot) + 1
         v = self._image.get(x)
@@ -258,8 +259,19 @@ class PCGame:
         """0-based index of the sigma input addressed by outer query m."""
         return self._translate_index(self._coefficients(secret), m)
 
+    def _element(self, coefficients, m) -> int:
+        """The element of [n] that outer query m reads under the secret's
+        ``_coefficients``: the one check of a query on every path that
+        answers one. An invalid query, or a float coordinate (the index is
+        no integer), is a ``ValidationError``."""
+        self.validate_outer_query(m)
+        idx = self._translate_index(coefficients, m)
+        if not isinstance(idx, _INTEGERS):
+            raise ValidationError(f"outer query {m!r}: coordinates must be integers")
+        return self.element_from_index(idx)
+
     def translate(self, secret, m) -> int:
-        return self.element_from_index(self.translate_index(secret, m))
+        return self._element(self._coefficients(secret), m)
 
     def post_process(self, secret, j):
         """The answer to an outer query that read sigma's value j; also
@@ -591,7 +603,7 @@ class GameOracle:
         game = self._game
         if inverse and not game.allow_inverse_inner:
             raise ContractViolation(f"{game.kind.value} forbids inverse inner queries")
-        if not (isinstance(i, (int, np.integer)) and 1 <= i <= game.n):
+        if not (isinstance(i, _INTEGERS) and 1 <= i <= game.n):
             raise ValidationError(f"inner query {i!r} out of range [1, {game.n}]")
 
     def _read_inner(self, i, inverse: bool) -> int:
@@ -610,9 +622,8 @@ class GameOracle:
 
     def outer(self, m) -> int:
         game = self._game
-        game.validate_outer_query(m)
+        element = game._element(self._coefficients, m)
         self._spend(1)
-        element = game.element_from_index(game._translate_index(self._coefficients, m))
         v = game.post_process(self._secret, int(self._sigma[element - 1]))
         self.outer_log.append(v)
         return v
@@ -634,8 +645,6 @@ class GameOracle:
         inner = [q if isinstance(q, tuple) else (q, False) for q in inner_queries]
         for i, inverse in inner:
             self._check_inner(i, inverse)
-        for m in outer_queries:
-            game.validate_outer_query(m)
         slots = self._plan_slots(outer_queries) if len(outer_queries) else None
         self._spend(len(inner) + len(outer_queries))
         inner_answers = [self._read_inner(i, inverse) for i, inverse in inner]
@@ -647,19 +656,15 @@ class GameOracle:
         return tuple(inner_answers), tuple(outer_answers)
 
     def _plan_slots(self, outer_queries) -> np.ndarray:
-        """The sigma slots that valid outer queries read.
+        """The sigma slots that outer queries read, each query checked by ``_element``.
 
         Each query is translated on its own, in exact Python integers: for
         plans of a few dozen queries that is faster than broadcasting the
         translation over query columns, whose dozen numpy calls on tiny
         arrays cost more than the per-query arithmetic.
         """
-        game, coefficients = self._game, self._coefficients
-        translate, element = game._translate_index, game.element_from_index
-        slots = np.array([element(translate(coefficients, m)) - 1 for m in outer_queries])
-        if slots.dtype.kind not in "iu":
-            raise ValidationError("outer query coordinates must be integers")
-        return slots
+        element, coefficients = self._game._element, self._coefficients
+        return np.array([element(coefficients, m) - 1 for m in outer_queries])
 
 
 def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:

@@ -43,6 +43,7 @@ from .shearer import (
 from .infotheory import JointDistribution
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
+BOUND_SLACK = 0.01  # check_bound_assertions' allowance over ceiling + Wilson halfwidth
 SEED_NOTE = "trial seed = splitmix64(master ^ (index * golden64)); Fisher-Yates sigma then secret"
 
 CSV_COLUMNS = [
@@ -65,12 +66,12 @@ CSV_COLUMNS = [
 CSV_VERSION_LINE = "#permchal-v1 columns=" + ",".join(CSV_COLUMNS)
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple:
-    """Wilson score interval; always contains the point estimate (the ends are
-    clamped to it: at 0 of 400, center - half rounds to 8.7e-19)."""
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """Wilson score interval at ``WILSON_Z``; always contains the point estimate
+    (the ends are clamped to it: at 0 of 400, center - half rounds to 8.7e-19)."""
     if trials < 1 or not (0 <= successes <= trials):
         raise ValidationError("wilson_interval: need 0 <= successes <= trials, trials >= 1")
-    p = successes / trials
+    p, z = successes / trials, WILSON_Z
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
@@ -292,8 +293,8 @@ def write_json(reports: Iterable[ExperimentReport], fh) -> None:
     fh.write("\n")
 
 
-def check_bound_assertions(reports: Iterable[ExperimentReport], slack: float = 0.01) -> list:
-    """Rows violating p_hat <= bound + Wilson halfwidth + slack.
+def check_bound_assertions(reports: Iterable[ExperimentReport]) -> list:
+    """Rows violating p_hat <= bound + Wilson halfwidth + ``BOUND_SLACK``.
 
     Only non-adaptive attacks are held to the ceilings.
     """
@@ -302,7 +303,7 @@ def check_bound_assertions(reports: Iterable[ExperimentReport], slack: float = 0
         if ATTACKS[r.spec.attack].adaptive or r.bound_value is None:
             continue
         half = (r.ci_high - r.ci_low) / 2.0
-        if r.p_hat > r.bound_value + half + slack:
+        if r.p_hat > r.bound_value + half + BOUND_SLACK:
             bad.append(r)
     return bad
 

@@ -139,7 +139,6 @@ def mid_simulation_oracle(
     w2 = 0
     responses = []
     for m in outer_queries:
-        game.validate_outer_query(m)
         u = game.translate(secret, m)
         if u in pin:
             v = pin[u]

@@ -346,6 +346,21 @@ class TestOtherCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("theorem", ["T11", "T12", "T13"])
+    def test_bounds_named_theorem_rejects_u_exit_code(self, capsys, theorem):
+        code, out, err = run_cli(
+            capsys, "bounds", "--theorem", theorem, "--n", "100003", "--s-bits", "10", "--t", "3", "--u", "5"
+        )
+        assert code == 2 and out == ""
+        assert "derives u from n" in err
+
+    def test_bounds_named_theorem_prints_without_u(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bounds", "--theorem", "T11", "--n", "100003", "--s-bits", "10", "--t", "3"
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "T11,100003,10,3,0.001102"
+
     @pytest.mark.parametrize(
         "flags",
         [("--theorem", "T11", "--max-s", "nan"), ("--theorem", "T41", "--u", "nan", "--max-s", "0.1")],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from permchal import harness
+from permchal import bounds, harness
 from permchal.attacks import ConstantGuessAdversary
 from permchal.bounds import BoundTheorem, evaluate_bound
 from permchal.errors import ContractViolation, ValidationError
@@ -140,6 +140,14 @@ class TestGameDeclarations:
             GameKind.EM_KR: BoundTheorem.T13,
             GameKind.EM_KR_SINGLE: BoundTheorem.T13,
         }
+
+    @pytest.mark.parametrize("cls", list(GAMES.values()), ids=lambda cls: cls.alias)
+    def test_ceiling_u_is_at_most_the_measured_uniformity(self, cls):
+        # at criterion 05's sizes: its primes for the GGM games, its powers of two for XOR
+        sizes = POWERS_OF_TWO if cls.kind in (GameKind.EM_KR, GameKind.EM_KR_SINGLE) else PRIMES
+        n_over_u, _ = bounds._NAMED[cls.theorem]
+        for n in sizes:
+            assert n / n_over_u <= measure_uniformity(cls(n)).u
 
     def test_constant_guess_defaults(self):
         values = [ConstantGuessAdversary(build_game(kind, n), 0).value for kind, n in DESK_GAMES]
@@ -422,6 +430,56 @@ class TestGameOracle:
         assert oracle.inner_log == [] and oracle.outer_log == [5]  # sigma(1 * 4 + 1)
         oracle.answer_plan([5], [(1, 3)])
         assert oracle.remaining == 0
+
+
+# (kind, n, secret, an outer query with a float coordinate, its integer twin)
+FLOAT_OUTER_QUERIES = [
+    ("DLOG", 11, 4, (2.5, 1), (2, 1)),  # 2.5 * 4 + 1 = 11.0: index 0.0, which reads as the element n
+    ("DLOG", 11, 4, (2.25, 1), (2, 1)),  # index 10.0: a float slot
+    ("DLOG", 11, 4, (2.0, 1), (2, 1)),
+    ("DDH", 5, (1, 2, 3, 0), (1.5, 1, 1, 1), (1, 1, 1, 1)),
+    ("SQDDH", 7, (3, 5, 1), (1, 2.5, 1), (1, 2, 1)),
+]
+
+
+class TestFloatOuterQueries:
+    """A translated index that is no integer is rejected on every path that
+    answers an outer query, before any budget is charged."""
+
+    @pytest.mark.parametrize("kind,n,secret,query,valid", FLOAT_OUTER_QUERIES)
+    def test_rejected_with_the_budget_untouched(self, kind, n, secret, query, valid):
+        game = build_game(kind, n)
+        oracle = GameOracle(game, np.arange(1, n + 1), secret, 3)
+        for ask in (
+            lambda: oracle.outer(query),
+            lambda: oracle.answer_plan((), [query]),
+            lambda: oracle.answer_plan([1], [valid, query]),
+        ):
+            with pytest.raises(ValidationError, match="integers"):
+                ask()
+            assert oracle.remaining == 3
+        assert oracle.inner_log == [] and oracle.outer_log == []
+        for play in (
+            lambda: mid_simulation_oracle(game, MidConstraints((1,), (2,)), [valid, query], secret, 0),
+            lambda: play_mid_game(game, MidConstraints((1,), (2,)), [query], lambda a: 1, secret, 0),
+        ):
+            with pytest.raises(ValidationError, match="integers"):
+                play()
+
+    @pytest.mark.parametrize("kind,n,secret,_query,twin", FLOAT_OUTER_QUERIES)
+    def test_numpy_integer_coordinates_are_answered(self, kind, n, secret, _query, twin):
+        game = build_game(kind, n)
+        sigma = random_sigma(np.random.Generator(np.random.PCG64(34)), n)
+        np_twin = tuple(np.int64(c) for c in twin)
+        want = GameOracle(game, sigma, secret, None).outer(twin)
+        oracle = GameOracle(game, sigma, secret, 2)
+        assert oracle.outer(np_twin) == want
+        assert oracle.answer_plan((), [np_twin]) == ((), (want,))
+        assert oracle.remaining == 0
+        constraints = MidConstraints((1,), (2,))
+        assert mid_simulation_oracle(game, constraints, [np_twin], secret, 5) == mid_simulation_oracle(
+            game, constraints, [twin], secret, 5
+        )
 
 
 def _s4_chi_square(read, seed):
@@ -937,3 +995,79 @@ class TestEvaluateBound:
 
     def test_clamped_to_unit_interval(self):
         assert evaluate_bound("T11", 11, 1000, 1000) == 1.0
+
+    @pytest.mark.parametrize("theorem", ["T11", "T12", "T13"])
+    def test_named_theorems_reject_u(self, theorem):
+        # u is derived from n, so a given u is an error, not a silently ignored input
+        with pytest.raises(ValidationError, match="derives u from n"):
+            evaluate_bound(theorem, 100003, 10, 3, u=5)
+        with pytest.raises(ValidationError, match="derives u from n"):
+            evaluate_bound(theorem, 100003, 10, 3, u=100003.0, max_s=0.1)
+
+
+LN2 = math.log(2.0)
+
+
+def _frozen_closed_form(theorem, n, s_bits, t, u=None, max_s=None):
+    """The five closed forms as ``bounds`` wrote them out one by one before
+    they became branches of T41; a frozen reference for the shared path."""
+    if max_s is None:
+        max_s = 0.5 + t * t / n if theorem == "T12" else t * t / n
+    if theorem in ("T41", "TE1"):
+        st_over_u = s_bits * t / u
+    if theorem == "T41":
+        value = min(
+            2.0 * max_s + 4.0 * LN2 * st_over_u + t * t / u,
+            max_s + math.sqrt(LN2 * st_over_u) + t * t / (2.0 * u),
+        )
+    elif theorem == "TE1":
+        value = min(
+            2.0 * max_s + 4.0 * LN2 * st_over_u,
+            max_s + math.sqrt(LN2 * st_over_u),
+        )
+    elif theorem == "T11":
+        value = 2.0 * max_s + 4.0 * LN2 * s_bits * t / n + t * t / n
+    elif theorem == "T12":
+        value = max_s + math.sqrt(2.0 * LN2 * s_bits * t / n) + t * t / n
+    else:  # T13
+        value = 2.0 * max_s + 4.0 * LN2 * s_bits * (t + 1.0) / n + t * t / n
+    return min(1.0, max(0.0, value))
+
+
+def _frozen_grid_points():
+    """Seeded (n, S, T, u, maxS) points: N from 101 to 2^29 - 3, S up to 10^6,
+    T up to 5000, and each range's ends; maxS is a draw in [0, 0.5)."""
+    rng = np.random.Generator(np.random.PCG64(1717))
+    ends = [(101, 0, 0), (101, 10**6, 5000), (2**29 - 3, 0, 5000), (2**29 - 3, 10**6, 1),
+            (536870909, 10440, 4878), (1009, 20, 10), (100003, 10, 3)]
+    points = [(n, s, t, float(n), 0.0) for n, s, t in ends]
+    for _ in range(4000):
+        n = int(rng.integers(101, 2**29 - 2))
+        s = int(rng.integers(0, 10**6 + 1)) if rng.random() < 0.5 else int(rng.integers(0, 200))
+        t = int(rng.integers(0, 5001)) if rng.random() < 0.5 else int(rng.integers(0, 60))
+        u = float(n) if rng.random() < 0.3 else float(rng.uniform(1.0, n))
+        points.append((n, s, t, u, float(rng.random() * 0.5)))
+    return points
+
+
+class TestFrozenClosedForms:
+    """The shared T41 branches against the old per-theorem forms."""
+
+    POINTS = _frozen_grid_points()
+
+    @pytest.mark.parametrize("theorem", ["T11", "T12", "T13"])
+    def test_named_theorems_are_bit_identical(self, theorem):
+        for n, s, t, _u, max_s in self.POINTS:
+            assert evaluate_bound(theorem, n, s, t) == _frozen_closed_form(theorem, n, s, t)
+            assert evaluate_bound(theorem, n, s, t, max_s=max_s) == _frozen_closed_form(
+                theorem, n, s, t, max_s=max_s
+            )
+
+    @pytest.mark.parametrize("theorem", ["T41", "TE1"])
+    def test_generic_theorems_within_one_ulp_and_equal_at_six_decimals(self, theorem):
+        for n, s, t, u, max_s in self.POINTS:
+            for m in (max_s, t * t / n):
+                got = evaluate_bound(theorem, n, s, t, u=u, max_s=m)
+                want = _frozen_closed_form(theorem, n, s, t, u=u, max_s=m)
+                assert abs(got - want) <= 2.3e-16
+                assert f"{got:.6f}" == f"{want:.6f}"
