@@ -12,7 +12,10 @@ is left as it is. For each workload in ``BENCHMARK.json`` (or each one
 named by ``--workloads``, in the file's order), pair r runs
 ``bench/run_bench.py --trace 0 --seed r+1`` for the declared
 ``run_seconds`` once on each tree, each tree with its own ``bench/``; the
-side that runs first alternates from pair to pair. With
+side that runs first alternates from pair to pair. Each side keeps its
+bytecode in its own empty cache under the work directory
+(``PYTHONPYCACHEPREFIX``), never in a tree's ``__pycache__``, so both start
+from the same state whatever the working tree holds. With
 ``--criteria`` the named acceptance criteria are then timed the same way:
 ``--repeats`` pairs of pytest runs, one per tree, the first side
 alternating (pytest's call duration).
@@ -47,7 +50,7 @@ def parse_args(argv):
     p.add_argument("--repeats", type=int, default=5, help="pairs of runs per workload")
     p.add_argument("--criteria", nargs="*", default=[], help="acceptance criteria to time, e.g. 07 09")
     p.add_argument("--workloads", nargs="+", help="run only these BENCHMARK.json workloads")
-    p.add_argument("--workdir", help="where to export the base tree")
+    p.add_argument("--workdir", help="where to export the base tree and keep each side's bytecode")
     args = p.parse_args(argv)
     if args.repeats < 1:
         p.error("--repeats must be positive")
@@ -95,27 +98,29 @@ def src_lines(tree: str) -> int:
     return lines
 
 
-def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its last stdout line, parsed."""
+def run_bench(tree: str, workload: str, seed: int, seconds: float, pycache: str) -> dict:
+    """One untraced benchmark run, its bytecode under ``pycache``; its last
+    stdout line, parsed."""
     cmd = [sys.executable, "bench/run_bench.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{proc.stderr}")
     return json.loads(lines[-1])
 
 
-def time_criteria(tree: str, criteria) -> dict:
+def time_criteria(tree: str, criteria, pycache: str) -> dict:
     """Seconds of pytest's call phase per acceptance criterion, and its
-    ``ACCEPTANCE`` line (verdict and detail).
+    ``ACCEPTANCE`` line (verdict and detail); bytecode goes under ``pycache``.
 
     A criterion that fails still has its seconds (pytest exit 1). Any other
     non-zero exit (nothing selected, a collection error) or a requested
     criterion without a duration raises, with pytest's output.
     """
     selector = " or ".join(f"test_criterion_{c}_" for c in criteria)
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONPYCACHEPREFIX=pycache)
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-s", "--durations=0", "-p", "no:cacheprovider",
          "tests/test_acceptance.py", "-k", selector],
@@ -137,8 +142,9 @@ def _order(pair: int) -> tuple:
     return SIDES if pair % 2 == 0 else SIDES[::-1]
 
 
-def time_criteria_pairs(trees: dict, criteria, repeats: int) -> dict:
-    """``time_criteria`` on both trees in ``repeats`` pairs, in ``_order``.
+def time_criteria_pairs(trees: dict, criteria, repeats: int, caches: dict) -> dict:
+    """``time_criteria`` on both trees in ``repeats`` pairs, in ``_order``,
+    each side with its bytecode cache from ``caches``.
 
     Per side and criterion: the spread of its seconds, the seconds of every
     run in pair order and the distinct ``ACCEPTANCE`` lines seen.
@@ -146,7 +152,7 @@ def time_criteria_pairs(trees: dict, criteria, repeats: int) -> dict:
     runs = {side: [] for side in SIDES}
     for pair in range(repeats):
         for side in _order(pair):
-            runs[side].append(time_criteria(trees[side], criteria))
+            runs[side].append(time_criteria(trees[side], criteria, caches[side]))
     out = {}
     for side in SIDES:
         out[side] = {}
@@ -213,16 +219,17 @@ def main(argv=None) -> int:
     workdir = args.workdir or tempfile.mkdtemp(prefix="bench_ab_")
     base_tree = export_tree(base, os.path.join(workdir, "base"))
     trees = {"base": base_tree, "change": ROOT}
+    caches = {side: os.path.join(workdir, "pycache", side) for side in SIDES}
     try:
         runs = []
         for workload in workloads:
             for pair in range(args.repeats):
                 for side in _order(pair):
-                    result = run_bench(trees[side], workload, pair + 1, seconds)
+                    result = run_bench(trees[side], workload, pair + 1, seconds, caches[side])
                     runs.append({"workload": workload, "pair": pair, "side": side, "result": result})
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {pair} {side}: wall_s {wall:.4f}", file=sys.stderr)
-        criteria = time_criteria_pairs(trees, args.criteria, args.repeats) if args.criteria else {}
+        criteria = time_criteria_pairs(trees, args.criteria, args.repeats, caches) if args.criteria else {}
         report = {
             "base": base,
             "change": "working tree",
@@ -235,6 +242,7 @@ def main(argv=None) -> int:
         }
     finally:
         shutil.rmtree(base_tree, ignore_errors=True)
+        shutil.rmtree(os.path.join(workdir, "pycache"), ignore_errors=True)
         if not args.workdir:
             shutil.rmtree(workdir, ignore_errors=True)
     with open(args.out, "w", encoding="utf-8") as fh:

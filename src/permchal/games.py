@@ -250,7 +250,7 @@ class PCGame:
         broadcasts over coefficient columns."""
         raise NotImplementedError
 
-    def _offset_class_leaders(self) -> Iterator:
+    def _class_leaders(self) -> Iterator:
         """The outer queries measure_uniformity scans, in iter_outer_queries
         order: every other query's counts relabel those of an earlier one."""
         return self.iter_outer_queries()
@@ -316,9 +316,13 @@ class _GgmGame(PCGame):
         elements = range(1, self.n + 1)
         return (a + (b,) for a in self._slopes() for b in elements)
 
-    def _offset_class_leaders(self):
-        # (a.c + b) mod n: query (a.., b) shifts (a.., 1)'s counts by b - 1
-        return (a + (1,) for a in self._slopes())
+    def _class_leaders(self):
+        # (u*a.c + b) mod n: query (u*a.., b) relabels (a.., 1)'s counts by
+        # j -> u(j - 1) + b. Leaders are the slopes whose first coefficient
+        # other than n is 1, each class's first in _slopes order.
+        n, k = self.n, self.arity
+        return ((n,) * i + (1,) + rest + (1,)
+                for i in range(k) for rest in itertools.product(range(1, n + 1), repeat=k - 1 - i))
 
 
 class _DecisionGame(_GgmGame):
@@ -437,7 +441,7 @@ class _EmGame(PCGame):
     def _translate_index(self, k1, m):
         return self._bits(m) ^ k1
 
-    def _offset_class_leaders(self):
+    def _class_leaders(self):
         # bits(m) ^ k1: query m relabels query 1's counts by XOR with bits(m)
         return iter((1,))
 
@@ -449,7 +453,7 @@ class _EmGame(PCGame):
         return iter(range(1, self.n + 1))
 
     def validate_outer_query(self, m) -> None:
-        if not (isinstance(m, int) and 1 <= m <= self.n):
+        if not (isinstance(m, _INTEGERS) and 1 <= m <= self.n):
             raise ValidationError(f"encryption query {m!r} out of range")
 
 
@@ -729,9 +733,12 @@ class UniformityResult:
 def measure_uniformity(game: PCGame) -> UniformityResult:
     """Exhaustive u = |D| / max_{m,j} |{d : translate(d, m) = j}|.
 
-    Scans one leader query per offset class: every other query relabels its
-    leader's counts and comes after it, so the result is a full scan's.
-    Enumerates the full secret space, so it is restricted to desk-scale games.
+    Scans one leader query per class of ``_class_leaders``: every other query
+    of a class relabels its leader's counts and comes after it, so the result
+    is a full scan's. For the GGM games a class is a line through the origin
+    and its offsets, (u*a.., b) for every unit u and every b; for the
+    Even–Mansour games it is every query. Enumerates the full secret space,
+    so it is restricted to desk-scale games.
     """
     if game.outer_query_count == 0:
         raise ValidationError("measure_uniformity: empty outer query space")
@@ -739,7 +746,7 @@ def measure_uniformity(game: PCGame) -> UniformityResult:
     best_fiber = 0
     worst_query = None
     worst_idx = 0
-    for m in game._offset_class_leaders():
+    for m in game._class_leaders():
         counts = np.bincount(game._translate_index(columns, m), minlength=game.n)
         fiber = int(counts.max())
         if fiber > best_fiber:

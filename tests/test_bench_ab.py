@@ -88,7 +88,7 @@ _PASSED = (
 
 def test_time_criteria_reads_durations_also_of_a_failing_criterion(monkeypatch):
     calls = _pytest_result(monkeypatch, 1, _PASSED)
-    got = bench_ab.time_criteria("tree", ["05", "07"])
+    got = bench_ab.time_criteria("tree", ["05", "07"], "cache")
     assert got == {
         "05": {"seconds": 1.88, "line": "PASS: exhaustive u values"},
         "07": {"seconds": 37.10, "line": "FAIL: 3/32"},
@@ -99,20 +99,20 @@ def test_time_criteria_reads_durations_also_of_a_failing_criterion(monkeypatch):
 def test_time_criteria_raises_when_nothing_was_selected(monkeypatch):
     _pytest_result(monkeypatch, 5, "no tests ran\n", "selected nothing")
     with pytest.raises(RuntimeError, match="exited 5") as err:
-        bench_ab.time_criteria("tree", ["7"])
+        bench_ab.time_criteria("tree", ["7"], "cache")
     assert "selected nothing" in str(err.value)
 
 
 def test_time_criteria_raises_on_a_collection_error(monkeypatch):
     _pytest_result(monkeypatch, 2, "ERROR collecting tests/test_acceptance.py\n", "ImportError: x")
     with pytest.raises(RuntimeError, match="ImportError"):
-        bench_ab.time_criteria("tree", ["05"])
+        bench_ab.time_criteria("tree", ["05"], "cache")
 
 
 def test_time_criteria_raises_when_a_criterion_has_no_duration(monkeypatch):
     _pytest_result(monkeypatch, 0, _PASSED)
     with pytest.raises(RuntimeError, match=r"\['09'\]"):
-        bench_ab.time_criteria("tree", ["05", "09"])
+        bench_ab.time_criteria("tree", ["05", "09"], "cache")
 
 
 def test_unpadded_criterion_rejected_before_any_run():
@@ -125,12 +125,12 @@ def test_criteria_pairs_alternate_the_first_side(monkeypatch):
     calls = []
     seconds = iter([10.0, 9.0, 8.5, 11.0, 10.5, 9.5])
 
-    def fake_time_criteria(tree, criteria):
+    def fake_time_criteria(tree, criteria, pycache):
         calls.append(tree)
         return {"07": {"seconds": next(seconds), "line": f"PASS: {tree}"}}
 
     monkeypatch.setattr(bench_ab, "time_criteria", fake_time_criteria)
-    got = bench_ab.time_criteria_pairs({"base": "B", "change": "C"}, ["07"], 3)
+    got = bench_ab.time_criteria_pairs({"base": "B", "change": "C"}, ["07"], 3, {"base": "b", "change": "c"})
     assert calls == ["B", "C", "C", "B", "B", "C"]
     base, change = got["base"]["07"], got["change"]["07"]
     assert base["seconds"] == [10.0, 11.0, 10.5] and change["seconds"] == [9.0, 8.5, 9.5]
@@ -161,7 +161,7 @@ def test_unknown_workload_rejected_before_any_run(monkeypatch):
 def test_main_pairs_only_the_named_workloads(monkeypatch, tmp_path):
     ran = []
 
-    def fake_run_bench(tree, workload, seed, seconds):
+    def fake_run_bench(tree, workload, seed, seconds, pycache):
         ran.append((workload, seed))
         return json.loads(_line(0.1, 10))
 
@@ -203,3 +203,34 @@ def test_report_records_the_resolved_base_commit(monkeypatch, tmp_path):
     bench_ab.main(["--base", "HEAD~1", "--out", str(out), "--repeats", "1",
                    "--workloads", "sweep-grid", "--workdir", str(tmp_path / "work")])
     assert json.loads(out.read_text())["base"] == first and exported == [first]
+
+
+def test_each_side_keeps_its_own_bytecode_under_the_workdir(monkeypatch, tmp_path):
+    # the working tree's stale __pycache__ must not give the change a warm start
+    seen = []
+
+    def fake_run(cmd, **kwargs):
+        seen.append((kwargs["cwd"], kwargs["env"]["PYTHONPYCACHEPREFIX"]))
+        os.makedirs(seen[-1][1], exist_ok=True)  # as Python fills the cache
+        stdout = _line(0.1, 10) if "bench/run_bench.py" in cmd else _PASSED
+        return bench_ab.subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(bench_ab, "resolve_commit", lambda rev: rev)
+    monkeypatch.setattr(bench_ab, "export_tree", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_ab, "src_lines", lambda tree: 0)
+    monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
+    work = tmp_path / "work"
+    bench_ab.main(["--base", "HEAD", "--out", str(tmp_path / "ab.json"), "--repeats", "2",
+                   "--workloads", "sweep-grid", "--criteria", "05", "--workdir", str(work)])
+    assert len(seen) == 8  # 2 pairs of benchmark runs, then 2 pairs of pytest runs
+    caches = {}
+    for cwd, prefix in seen:
+        caches.setdefault(cwd, set()).add(prefix)
+    assert set(caches) == {str(work / "base"), bench_ab.ROOT}
+    assert all(len(prefixes) == 1 for prefixes in caches.values())  # one cache per side
+    base_cache, change_cache = caches[str(work / "base")].pop(), caches[bench_ab.ROOT].pop()
+    assert base_cache != change_cache
+    for prefix in (base_cache, change_cache):
+        assert os.path.commonpath([prefix, str(work)]) == str(work)
+        assert os.path.commonpath([prefix, bench_ab.ROOT]) != bench_ab.ROOT
+    assert not (work / "pycache").exists()  # removed afterwards, so a rerun starts cold too

@@ -117,10 +117,12 @@ class TestGameDeclarations:
     @pytest.mark.parametrize("kind,n", DESK_GAMES)
     def test_offset_class_leaders_are_an_ordered_subsequence(self, kind, n):
         g = build_game(kind, n)
-        leaders = list(g._offset_class_leaders())
+        leaders = list(g._class_leaders())
         remaining = g.iter_outer_queries()
         assert all(m in remaining for m in leaders)  # `in` consumes: order is kept
-        assert len(leaders) * n == g.outer_query_count  # one leader per class of n
+        # one leader per class: n offsets of the query, times the n - 1 units for GGM
+        class_size = n if kind.startswith("EM") else n * (n - 1)
+        assert len(leaders) * class_size == g.outer_query_count
 
     def test_registry_aliases_and_theorems(self):
         assert set(GAMES) == set(GameKind)
@@ -155,9 +157,9 @@ class TestGameDeclarations:
 
 
 class _ProductGame(PCGame):
-    """A game that states no offset classes.  Its translation (a*b*d) mod n
-    sends every secret to 0 at b = n, a fiber no b = 1 query shows, so only
-    the every-query default finds the maximum."""
+    """A game that states no query classes (no ``_class_leaders``).  Its
+    translation (a*b*d) mod n sends every secret to 0 at b = n, a fiber no
+    b = 1 query shows, so only the every-query default finds the maximum."""
 
     secret_count = 5
     outer_query_count = 20
@@ -230,6 +232,27 @@ class TestMeasureUniformity:
         result = measure_uniformity(game)
         assert result == expected
         assert type(result.worst_query) is type(expected.worst_query)
+
+    @pytest.mark.parametrize("kind", ["DLOG", "DDH", "SQDDH"])
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_unit_scaled_queries_relabel_their_leader(self, kind, n):
+        # (u*a.., b) reads u*(a.c) + b: the leader's counts moved by j -> u(j - 1) + b mod n
+        g = build_game(kind, n)
+        columns = g._secret_columns
+        leaders = list(g._class_leaders())
+        assert len(leaders) == (n**g.arity - 1) // (n - 1)
+        j = np.arange(n)
+        for m in leaders:
+            a = m[:-1]
+            assert m[-1] == 1 and next(x for x in a if x != n) == 1
+            counts = np.bincount(g._translate_index(columns, m), minlength=n)
+            for u in range(1, n):
+                scaled = tuple((u * x - 1) % n + 1 for x in a)
+                for b in (1, 2, n):
+                    moved = np.zeros(n, dtype=counts.dtype)
+                    moved[(u * (j - 1) + b) % n] = counts
+                    got = np.bincount(g._translate_index(columns, scaled + (b,)), minlength=n)
+                    assert got.tolist() == moved.tolist()
 
     @pytest.mark.parametrize(
         "kind,n", [("DLOG", 7), ("DDH", 3), ("SQDDH", 5), ("EM_KR", 8), ("EM_KR_SINGLE", 8)]
@@ -480,6 +503,21 @@ class TestFloatOuterQueries:
         assert mid_simulation_oracle(game, constraints, [np_twin], secret, 5) == mid_simulation_oracle(
             game, constraints, [twin], secret, 5
         )
+
+    @pytest.mark.parametrize("kind,secret", [("EM_KR", (3, 5)), ("EM_KR_SINGLE", 3)])
+    def test_numpy_integer_encryption_query_is_answered(self, kind, secret):
+        game = build_game(kind, 8)
+        sigma = random_sigma(np.random.Generator(np.random.PCG64(34)), 8)
+        want = GameOracle(game, sigma, secret, None).outer(3)
+        oracle = GameOracle(game, sigma, secret, 2)
+        assert oracle.outer(np.int64(3)) == want
+        assert oracle.answer_plan((), [np.int64(3)]) == ((), (want,))
+        assert oracle.remaining == 0
+        oracle = GameOracle(game, sigma, secret, 2)
+        for ask in (lambda: oracle.outer(3.0), lambda: oracle.answer_plan((), [3.0])):
+            with pytest.raises(ValidationError, match="out of range"):
+                ask()
+        assert oracle.remaining == 2
 
 
 def _s4_chi_square(read, seed):
