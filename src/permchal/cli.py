@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 from contextlib import ExitStack
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .attacks import ATTACKS, run_mi_game
 from .bounds import BoundTheorem, evaluate_bound
@@ -208,16 +208,9 @@ def _cmd_shearer(args) -> int:
         print(json.dumps(asdict(summary), indent=2))
     else:
         print(f"n={summary.n} trials={summary.trials} seed={summary.seed}")
-        for name in (
-            "min_bijection_gap_c2",
-            "min_bijection_gap_c9",
-            "min_read_k_gap",
-            "min_indicator_gap",
-            "min_product_gap",
-            "extremal_ratio",
-        ):
-            value = getattr(summary, name)
-            print(f"  {name} = {'-' if value is None else f'{value:.9f}'}")
+        for field in fields(summary)[3:]:  # the gaps and the ratio, after n, trials, seed
+            value = getattr(summary, field.name)
+            print(f"  {field.name} = {'-' if value is None else f'{value:.9f}'}")
         print(f"  all_gaps_nonnegative = {summary.all_gaps_nonnegative()}")
     return EXIT_OK
 

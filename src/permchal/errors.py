@@ -14,9 +14,9 @@ class ValidationError(PermchalError, ValueError):
 class ContractViolation(PermchalError, RuntimeError):
     """An adversary broke its protocol contract.
 
-    Raised for over-long advice strings, queries over the budget, a plan
-    invocation after answers were delivered, inverse inner queries in
-    games that forbid them, and queries outside the declared query spaces.
+    Raised for over-long advice strings, queries over the budget and
+    inverse inner queries in games that forbid them. A query outside the
+    game's query space is a ``ValidationError``.
     """
 
 

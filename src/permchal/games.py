@@ -185,12 +185,14 @@ class GameTranscript(NamedTuple):
     outer_answers: tuple
     output: object
     success: int
-    t1: int
-    t2: int
 
     @property
-    def total_queries(self) -> int:
-        return self.t1 + self.t2
+    def t1(self) -> int:
+        return len(self.inner_answers)
+
+    @property
+    def t2(self) -> int:
+        return len(self.outer_answers)
 
 
 class PCGame:
@@ -528,36 +530,20 @@ class NonAdaptiveAdversary(_Adversary):
     """Commits to all queries after seeing only the advice string.
 
     Subclasses implement ``decide`` and state a fixed plan of outer
-    queries as ``queries``, or override ``_plan`` when the plan depends
-    on the advice. The engine arms the adversary per trial; invoking
-    ``plan`` more than once, or after answers were delivered, is a
-    contract violation, and so is a plan of more than ``t_budget`` queries.
+    queries as ``queries``, or override ``plan`` when the plan depends
+    on the advice. ``play_game`` calls ``plan(z)`` once per trial, with the
+    advice as its only input, answers the plan, then calls ``decide``
+    once; a plan of more than ``t_budget`` queries is a contract violation.
     """
 
     adaptive = False
     queries = ()
-    _phase = "idle"
 
     def plan(self, z: str):
-        if self._phase != "ready":
-            raise ContractViolation(
-                "non-adaptive contract: plan must be invoked exactly once, before any answer"
-            )
-        self._phase = "planned"
-        return self._plan(z)
-
-    def _plan(self, z: str):
-        return [], list(self.queries)
+        return (), self.queries
 
     def decide(self, z: str, inner_answers: tuple, outer_answers: tuple):
         raise NotImplementedError
-
-    # engine hooks
-    def _begin_trial(self) -> None:
-        self._phase = "ready"
-
-    def _mark_answered(self) -> None:
-        self._phase = "answered"
 
 
 class AdaptiveAdversary(_Adversary):
@@ -677,7 +663,8 @@ def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
     The preprocessing stage receives the whole permutation; the online
     stage is driven per the adversary's adaptivity contract, and every
     query is answered by a ``GameOracle``: an adaptive adversary drives
-    it, a non-adaptive plan is answered at once. Advice over ``s_bits`` or
+    it; a non-adaptive one is asked for its plan once, with the advice as
+    its only input, and decides once on the answers. Advice over ``s_bits`` or
     more than ``t_budget`` queries is a ``ContractViolation``.
     Success is the comparison of the output with the game's function of the secret.
     ``sigma`` is a permutation array of length n or a ``LazyPermutation``
@@ -702,9 +689,7 @@ def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
         output = adversary.run(advice, oracle)
         inner_answers, outer_answers = tuple(oracle.inner_log), tuple(oracle.outer_log)
     else:
-        adversary._begin_trial()
         inner_answers, outer_answers = oracle.answer_plan(*adversary.plan(advice))
-        adversary._mark_answered()
         output = adversary.decide(advice, inner_answers, outer_answers)
 
     success = int(output == game.success_target(secret))
@@ -716,8 +701,6 @@ def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
         outer_answers=outer_answers,
         output=output,
         success=success,
-        t1=len(inner_answers),
-        t2=len(outer_answers),
     )
 
 

@@ -73,9 +73,6 @@ class FiniteDistribution:
     def __len__(self) -> int:
         return len(self.support)
 
-    def prob(self, label) -> float:
-        return float(self.mass[self.support.index(label)])
-
     @classmethod
     def uniform(cls, support: Iterable) -> "FiniteDistribution":
         support = tuple(support)

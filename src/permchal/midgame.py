@@ -98,8 +98,6 @@ def play_mid_game(
         outer_answers=answers,
         output=output,
         success=int(output == game.success_target(secret)),
-        t1=len(constraints),
-        t2=len(answers),
     )
 
 

@@ -449,11 +449,9 @@ def extremal_ratio_search(
     return ExtremalSearchResult(best_ratio, witness, evaluations)
 
 
-def random_bijection_distribution(
-    rng: np.random.Generator, n: int, concentration: float = 1.0
-) -> BijectionDistribution:
-    """Symmetric-Dirichlet random distribution; full support avoids infinite KL."""
-    mass = rng.dirichlet(np.full(math.factorial(n), concentration))
+def random_bijection_distribution(rng: np.random.Generator, n: int) -> BijectionDistribution:
+    """Flat-Dirichlet random distribution; full support avoids infinite KL."""
+    mass = rng.dirichlet(np.ones(math.factorial(n)))
     return BijectionDistribution(n, mass / mass.sum())
 
 
@@ -466,10 +464,9 @@ def random_cover(rng: np.random.Generator, n: int, max_sets: int = 6) -> CoverFa
     return CoverFamily(n, tuple(sets))
 
 
-def random_read_k_family(
-    rng: np.random.Generator, n: int, max_functions: int = 4
-) -> ReadKFamily:
-    m = int(rng.integers(1, max_functions + 1))
+def random_read_k_family(rng: np.random.Generator, n: int) -> ReadKFamily:
+    """One to four functions, each on a random subset of the coordinates."""
+    m = int(rng.integers(1, 5))
     functions = []
     for _ in range(m):
         mask = rng.random(n) < 0.5

@@ -47,7 +47,7 @@ class _FixedQueryAdversary(NonAdaptiveAdversary):
         self.outer = list(outer)
         self.output = output
 
-    def _plan(self, z):
+    def plan(self, z):
         return list(self.inner), list(self.outer)
 
     def decide(self, z, inner_answers, outer_answers):
@@ -294,26 +294,43 @@ class TestPlayGame:
             for m, ans in zip(queries, tr.outer_answers):
                 element = g.element_from_index(g.translate_index(secret, m))
                 assert ans == g.post_process(secret, int(sigma[element - 1]))
-            assert tr.t1 + tr.t2 == tr.total_queries == 3
+            assert tr.t1 + tr.t2 == 3
             assert tr.success == int(tr.output == g.success_target(secret))
 
-    def test_non_adaptive_second_plan_is_hard_failure(self):
-        g = build_game("DLOG", 5)
+    def test_engine_keeps_the_non_adaptive_call_order(self):
+        g = build_game("DLOG", 11)
+        calls = []
 
-        class Cheater(_FixedQueryAdversary):
+        class Recorder(_FixedQueryAdversary):
+            def preprocess(self, sigma):
+                calls.append(("preprocess",))
+                return format(int(sigma[0]), "04b")
+
+            def plan(self, *args, **kwargs):
+                calls.append(("plan", args, kwargs))
+                return super().plan(*args)
+
             def decide(self, z, inner_answers, outer_answers):
-                self.plan(z)  # adaptivity attempt after answers arrived
+                calls.append(("decide", z, inner_answers, outer_answers))
                 return 1
 
-        with pytest.raises(ContractViolation):
-            play_game(g, Cheater(outer=[(1, 5)]), np.arange(1, 6), 3)
+        rng = np.random.Generator(np.random.PCG64(3))
+        adv = Recorder(inner=[2, 7], outer=[(1, 4), (3, 11), (1, 4)])
+        adv.s_bits = 4
+        for _ in range(4):
+            sigma, secret = random_sigma(rng, 11), g.sample_secret(rng)
+            calls.clear()
+            tr = play_game(g, adv, sigma, secret)
+            z = format(int(sigma[0]), "04b")
+            want = GameOracle(g, sigma, secret, None).answer_plan(adv.inner, adv.outer)
+            assert calls == [("preprocess",), ("plan", (z,), {}), ("decide", z, *want)]
+            assert (tr.inner_answers, tr.outer_answers) == want
+            assert (tr.t1, tr.t2) == (2, 3)
 
-    def test_engine_rejects_double_plan(self):
-        adv = _FixedQueryAdversary()
-        adv._begin_trial()
-        adv.plan("")
-        with pytest.raises(ContractViolation):
-            adv.plan("")
+        # the hybrid game's t1 is its number of pins
+        pins = MidConstraints((1, 5, 9), (4, 2, 11))
+        tr = play_mid_game(g, pins, [(1, 3), (2, 7)], lambda answers: 1, 3, 17)
+        assert (tr.t1, tr.t2) == (len(tr.inner_answers), len(tr.outer_answers)) == (3, 2)
 
     def test_advice_too_long_is_hard_failure(self):
         g = build_game("DLOG", 5)
