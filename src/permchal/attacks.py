@@ -431,15 +431,12 @@ class SqddhMajorityAdversary(Attack, NonAdaptiveAdversary):
             self.queries.append((f, n, n))  # a1*d1 with a1 = f
             self.queries.append((n, (f * f) % n, n))  # a2*(d2 or d1^2) with a2 = f^2
 
-    def _pair_code(self, w1, w2):
-        return (np.asarray(w1, dtype=np.uint64) - 1) * np.uint64(self.n) + (
-            np.asarray(w2, dtype=np.uint64) - 1
-        )
-
     def preprocess(self, sigma: np.ndarray) -> str:
-        code = self._pair_code(*(sigma.take(slots) for slots in self._pair_slots))
-        marked = mix64_array(self.key_mark, code) % np.uint64(self.t) == 0
-        code_m = code[marked]
+        n = self.n
+        w1, w2 = (sigma.take(slots) for slots in self._pair_slots)
+        code = (w1 * n + w2 - (n + 1)).view(np.uint64)  # (w1 - 1) * n + (w2 - 1)
+        h, t = mix64_array(self.key_mark, code), np.uint64(self.t)
+        code_m = code[h == h // t * t]  # marked: h % t == 0
         bucket = (mix64_array(self.key_bucket, code_m) % np.uint64(self.buckets)).astype(np.int64)
         qbit = (mix64_array(self.key_bit, code_m) & np.uint64(1)).astype(np.float64)
         ones = np.bincount(bucket, weights=qbit, minlength=self.buckets)
@@ -448,8 +445,7 @@ class SqddhMajorityAdversary(Attack, NonAdaptiveAdversary):
 
     def decide(self, z: str, inner_answers, outer_answers):
         for i in range(0, len(outer_answers), 2):
-            w1, w2 = outer_answers[i], outer_answers[i + 1]
-            code = int(self._pair_code(w1, w2))
+            code = (outer_answers[i] - 1) * self.n + outer_answers[i + 1] - 1
             if mix64(self.key_mark, code) % self.t == 0:
                 bucket = mix64(self.key_bucket, code) % self.buckets
                 bit = mix64(self.key_bit, code) & 1

@@ -60,7 +60,8 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="processes that run trial chunks: this one plus N-1 children (default 1, in-process)")
     p.add_argument("--out", default=None, help="output path; default stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--timing", action="store_true", help="write measured wall clock into the CSV (breaks byte-reproducibility)")

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing
 from dataclasses import asdict, dataclass
-from itertools import repeat
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import islice
+from multiprocessing.connection import wait
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -181,12 +182,105 @@ def _run_chunk(spec: ExperimentSpec, lo: int, hi: int) -> tuple:
     return successes, time.perf_counter() - start
 
 
-def _chunks(spec: ExperimentSpec, jobs: int) -> tuple:
-    """``_run_chunk``'s argument columns for ``spec``'s trials cut into
+def _chunks(spec: ExperimentSpec, jobs: int) -> list:
+    """``_run_chunk``'s arguments for ``spec``'s trials cut into
     ``min(jobs, trials)`` chunks, at most ``ceil(trials / jobs)`` each."""
     count = min(jobs, spec.trials)
     ends = [i * spec.trials // count for i in range(count + 1)]
-    return repeat(spec), ends[:-1], ends[1:]
+    return [(spec, lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+
+
+def _claim(counter, total: int) -> Optional[int]:
+    """The next unclaimed index below ``total`` from the shared ``counter``,
+    or None once every index is claimed."""
+    with counter.get_lock():
+        index = counter.value
+        if index >= total:
+            return None
+        counter.value = index + 1
+        return index
+
+
+def _attempt(chunk: tuple):
+    """``_run_chunk``'s result on ``chunk``, or the exception it raised."""
+    try:
+        return _run_chunk(*chunk)
+    except Exception as exc:
+        return exc
+
+
+def _claim_chunks(chunks: list, counter, conn) -> None:
+    """A child's loop: claim chunks and send ``(index, result or exception)``
+    over its own pipe until none is left."""
+    while (index := _claim(counter, len(chunks))) is not None:
+        conn.send((index, _attempt(chunks[index])))
+    conn.close()
+
+
+def _claimed_results(chunks: list, workers: int) -> Iterator[tuple]:
+    """Every chunk's ``_run_chunk`` result, in order; a chunk's exception is
+    raised at its turn.
+
+    The caller and ``workers - 1`` children claim chunk indices from one
+    shared counter. The caller takes the results that are ready before each
+    claim and blocks only when nothing is left to claim, so a result is
+    yielded at most one chunk after it is ready. A child that exits with a
+    non-zero code raises. Every child is joined when the generator ends;
+    on a failure, or when the generator is closed early, it is terminated
+    first, so no chunk is claimed after the failure.
+    """
+    counter = multiprocessing.Value("q", 0)
+    children = []
+    finished = False
+    try:
+        for _ in range(workers - 1):
+            pipe, writer = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_claim_chunks, args=(chunks, counter, writer), daemon=True
+            )
+            child.start()
+            writer.close()  # so the pipe reads EOF once the child is gone
+            children.append((pipe, child))
+        pipes = {pipe for pipe, _ in children}  # the pipes not yet at EOF
+        running = {child.sentinel: child for _, child in children}
+        done = {}
+        for index in range(len(chunks)):
+            while index not in done:
+                ready = wait(pipes, 0)
+                if not ready:
+                    mine = _claim(counter, len(chunks))
+                    if mine is not None:
+                        done[mine] = _attempt(chunks[mine])
+                        continue
+                    if not (pipes or running):
+                        raise RuntimeError(f"sweep chunk {index} was claimed but never sent")
+                    ready = wait([*pipes, *running])
+                for source in ready:
+                    if source in running:
+                        # a child that exited normally may still have results in its pipe
+                        child = running.pop(source)
+                        child.join()
+                        if child.exitcode != 0:
+                            raise RuntimeError(
+                                f"sweep worker process {child.pid} exited with code {child.exitcode}"
+                            )
+                        continue
+                    try:
+                        claimed, result = source.recv()
+                        done[claimed] = result
+                    except EOFError:
+                        pipes.discard(source)
+            result = done.pop(index)
+            finished = index == len(chunks) - 1  # every result is in, so the children are exiting
+            if isinstance(result, Exception):
+                raise result
+            yield result
+    finally:
+        for pipe, child in children:
+            if not finished:
+                child.terminate()
+            child.join()
+            pipe.close()
 
 
 def _report(spec: ExperimentSpec, chunks: Iterable[tuple]) -> ExperimentReport:
@@ -223,8 +317,9 @@ def run_trials(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
 
     Each trial samples a fresh uniform permutation (Fisher-Yates under
     the trial stream) and a fresh uniform secret, then plays the game.
-    This is ``sweep_grid`` of the one spec: ``jobs > 1`` runs
-    ``min(jobs, trials)`` chunks on a pool opened for this call.
+    This is ``sweep_grid`` of the one spec: ``jobs > 1`` cuts it into
+    ``min(jobs, trials)`` chunks that this process and ``jobs - 1``
+    children started for this call claim.
     """
     return sweep_grid([spec], jobs)[0]
 
@@ -234,39 +329,36 @@ def sweep_grid(
     jobs: int = 1,
     on_report: Optional[Callable[[ExperimentReport], None]] = None,
 ) -> list:
-    """Run specs on one pool; report them in order, each as it completes.
+    """Run specs in one dispatch; report them in order, each as it completes.
 
     At ``jobs = 1`` every spec runs in-process as one chunk, and is built
     and reported before the next starts. Otherwise each spec's trials are
-    cut into ``min(jobs, trials)`` chunks of at most ``ceil(trials / jobs)``
-    and every spec's chunks are queued on the pool before the first report
-    is built. A row's ``seconds`` is the summed wall time of its chunks.
+    cut into ``min(jobs, trials)`` chunks of at most ``ceil(trials / jobs)``,
+    the chunks of every spec form one list in spec order, and this process
+    and ``jobs - 1`` children (started once per sweep) claim them from one
+    shared counter (``_claimed_results``). A row's ``seconds`` is the
+    summed wall time of its chunks.
 
     A hard failure raises after the callback has seen every earlier
-    report, so partial results are already flushed; the chunks still
-    queued are cancelled.
+    report, so partial results are already flushed; no chunk is claimed
+    after it, and the children are stopped.
     """
     if not specs:
         raise ValidationError("sweep_grid: empty grid")
     if jobs < 1:
         raise ValidationError("jobs must be at least 1")
     workers = min(jobs, max(spec.trials for spec in specs))
+    chunks = [_chunks(spec, workers) for spec in specs]
+    flat = [chunk for own in chunks for chunk in own]
+    # lazy either way: at jobs = 1 a spec's one chunk runs when its report reads it
+    results = (_run_chunk(*chunk) for chunk in flat) if workers == 1 else _claimed_results(flat, workers)
     reports = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        # map is lazy, so at jobs = 1 a spec's trials run when its report is built;
-        # pool.map submits every chunk at once and yields the results in order
-        chunks = [(map if pool is None else pool.map)(_run_chunk, *_chunks(spec, workers))
-                  for spec in specs]
-        try:
-            for spec, results in zip(specs, chunks):
-                report = _report(spec, results)
-                reports.append(report)
-                if on_report is not None:
-                    on_report(report)
-        except BaseException:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
-            raise
+    with closing(results):
+        for spec, own in zip(specs, chunks):
+            report = _report(spec, islice(results, len(own)))
+            reports.append(report)
+            if on_report is not None:
+                on_report(report)
     return reports
 
 

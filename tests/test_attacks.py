@@ -65,12 +65,27 @@ def _reference_daemen_preprocess(adv, sigma):
     return "".join(bits_encode(int(sigma[p]) - 1, adv.width) for p in adv.stored)
 
 
+def _frozen_sqddh_pair_code(n, w1, w2):
+    """The pair code as the attack first computed it, in uint64 numpy arithmetic."""
+    return (np.asarray(w1, dtype=np.uint64) - 1) * np.uint64(n) + (np.asarray(w2, dtype=np.uint64) - 1)
+
+
+def _frozen_sqddh_decide(adv, z, outer_answers):
+    """The attack's first ``decide``: pair codes from 0-d uint64 arrays."""
+    for i in range(0, len(outer_answers), 2):
+        code = int(_frozen_sqddh_pair_code(adv.n, outer_answers[i], outer_answers[i + 1]))
+        if mix64(adv.key_mark, code) % adv.t == 0:
+            bucket = mix64(adv.key_bucket, code) % adv.buckets
+            return int(mix64(adv.key_bit, code) & 1 == int(z[bucket]))
+    return mix64(adv.key_guess, *outer_answers) & 1
+
+
 def _reference_sqddh_preprocess(adv, sigma):
     """Majority advice with the gather indices built per call and the
     advice joined bucket by bucket."""
     n = adv.n
     x = np.arange(n, dtype=np.int64)
-    code = adv._pair_code(sigma[(x - 1) % n], sigma[((x * x) % n - 1) % n])
+    code = _frozen_sqddh_pair_code(n, sigma[(x - 1) % n], sigma[((x * x) % n - 1) % n])
     marked = mix64_array(adv.key_mark, code) % np.uint64(adv.t) == 0
     code_m = code[marked]
     bucket = (mix64_array(adv.key_bucket, code_m) % np.uint64(adv.buckets)).astype(np.int64)
@@ -455,6 +470,22 @@ class TestSqddhMajority:
         for i in range(20):
             sigma = random_sigma(trial_generator(901, i), n)
             assert adv.preprocess(sigma) == _reference_sqddh_preprocess(adv, sigma)
+
+    @pytest.mark.parametrize("n,t,trials", [(127, 8, 300), (8191, 16, 60)])
+    def test_advice_and_output_match_the_frozen_formulas(self, n, t, trials):
+        # the int64 pair code and the h // t * t mark against the uint64 originals
+        game = build_game("SQDDH", n)
+        adv = SqddhMajorityAdversary(game, t, s_bits=32, seed=31)
+        marked = 0
+        for i in range(trials):
+            rng = trial_generator(32, i)
+            sigma = random_sigma(rng, n)
+            tr = play_game(game, adv, sigma, game.sample_secret(rng))
+            assert tr.advice == _reference_sqddh_preprocess(adv, sigma)
+            assert tr.output == _frozen_sqddh_decide(adv, tr.advice, tr.outer_answers)
+            pairs = zip(tr.outer_answers[::2], tr.outer_answers[1::2])
+            marked += any(mix64(adv.key_mark, (a - 1) * n + b - 1) % t == 0 for a, b in pairs)
+        assert marked > 0  # some walks reach a marked pair
 
     def test_advice_is_bucket_count_bits(self):
         adv = SqddhMajorityAdversary(build_game("SQDDH", 127), 8, s_bits=32)

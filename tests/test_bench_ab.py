@@ -167,6 +167,7 @@ def test_main_pairs_only_the_named_workloads(monkeypatch, tmp_path):
 
     monkeypatch.setattr(bench_ab, "resolve_commit", lambda rev: rev)
     monkeypatch.setattr(bench_ab, "export_tree", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_ab, "copy_worktree", lambda dest: dest)
     monkeypatch.setattr(bench_ab, "run_bench", fake_run_bench)
     monkeypatch.setattr(bench_ab, "src_lines", lambda tree: 0)
     out = tmp_path / "ab.json"
@@ -197,6 +198,7 @@ def test_report_records_the_resolved_base_commit(monkeypatch, tmp_path):
 
     exported = []
     monkeypatch.setattr(bench_ab, "export_tree", lambda rev, dest: exported.append(rev) or dest)
+    monkeypatch.setattr(bench_ab, "copy_worktree", lambda dest: dest)
     monkeypatch.setattr(bench_ab, "run_bench", lambda *a: json.loads(_line(0.1, 10)))
     monkeypatch.setattr(bench_ab, "src_lines", lambda tree: 0)
     out = tmp_path / "ab.json"
@@ -206,7 +208,8 @@ def test_report_records_the_resolved_base_commit(monkeypatch, tmp_path):
 
 
 def test_each_side_keeps_its_own_bytecode_under_the_workdir(monkeypatch, tmp_path):
-    # the working tree's stale __pycache__ must not give the change a warm start
+    # the working tree's stale __pycache__ must not give the change a warm start,
+    # and both sides run from paths of equal length under the workdir
     seen = []
 
     def fake_run(cmd, **kwargs):
@@ -215,8 +218,10 @@ def test_each_side_keeps_its_own_bytecode_under_the_workdir(monkeypatch, tmp_pat
         stdout = _line(0.1, 10) if "bench/run_bench.py" in cmd else _PASSED
         return bench_ab.subprocess.CompletedProcess(cmd, 0, stdout, "")
 
+    copied = []
     monkeypatch.setattr(bench_ab, "resolve_commit", lambda rev: rev)
-    monkeypatch.setattr(bench_ab, "export_tree", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_ab, "export_tree", lambda rev, dest: os.makedirs(dest) or dest)
+    monkeypatch.setattr(bench_ab, "copy_worktree", lambda dest: copied.append(dest) or os.makedirs(dest) or dest)
     monkeypatch.setattr(bench_ab, "src_lines", lambda tree: 0)
     monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
     work = tmp_path / "work"
@@ -226,11 +231,30 @@ def test_each_side_keeps_its_own_bytecode_under_the_workdir(monkeypatch, tmp_pat
     caches = {}
     for cwd, prefix in seen:
         caches.setdefault(cwd, set()).add(prefix)
-    assert set(caches) == {str(work / "base"), bench_ab.ROOT}
+    assert set(caches) == {str(work / "base"), str(work / "chng")} and copied == [str(work / "chng")]
     assert all(len(prefixes) == 1 for prefixes in caches.values())  # one cache per side
-    base_cache, change_cache = caches[str(work / "base")].pop(), caches[bench_ab.ROOT].pop()
-    assert base_cache != change_cache
+    base_cache, change_cache = caches[str(work / "base")].pop(), caches[str(work / "chng")].pop()
+    assert base_cache != change_cache and len(base_cache) == len(change_cache)
     for prefix in (base_cache, change_cache):
         assert os.path.commonpath([prefix, str(work)]) == str(work)
         assert os.path.commonpath([prefix, bench_ab.ROOT]) != bench_ab.ROOT
     assert not (work / "pycache").exists()  # removed afterwards, so a rerun starts cold too
+    assert not (work / "base").exists() and not (work / "chng").exists()
+
+
+def test_worktree_copy_holds_tracked_and_untracked_files_not_ignored_ones(monkeypatch, tmp_path):
+    repo = tmp_path / "repo"
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    _commit(repo, "kept")
+    _commit(repo, "deleted")
+    (repo / "kept").write_text("edited")
+    (repo / "deleted").unlink()
+    (repo / "pkg" / "__pycache__").mkdir(parents=True)
+    (repo / "pkg" / "new.py").write_text("x = 1")
+    (repo / "pkg" / "__pycache__" / "new.pyc").write_text("stale")
+    monkeypatch.setattr(bench_ab, "ROOT", str(repo))
+    dest = bench_ab.copy_worktree(str(tmp_path / "copy"))
+    files = sorted(os.path.relpath(os.path.join(d, f), dest) for d, _, fs in os.walk(dest) for f in fs)
+    assert files == [".gitignore", "kept", os.path.join("pkg", "new.py")]
+    assert (tmp_path / "copy" / "kept").read_text() == "edited"

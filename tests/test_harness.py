@@ -3,6 +3,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -242,6 +243,10 @@ class TestAttackRegistry:
         ).s_bits == 7
 
 
+def _send_claims(counter, total, conn):
+    conn.send(list(iter(lambda: harness._claim(counter, total), None)))
+
+
 class TestSweep:
     def _grid(self):
         return [
@@ -285,32 +290,39 @@ class TestSweep:
         assert len(flushed) == 1 and flushed[0].spec.t == 3
         assert multiprocessing.active_children() == []
 
+    def _record_children(self, monkeypatch):
+        """Patch the process class the sweep starts; returns the list of
+        children started, each holding the length of its chunk list."""
+        started = []
+
+        class RecordingProcess(multiprocessing.Process):
+            def start(self):
+                self.chunk_count = len(self._args[0])
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(harness.multiprocessing, "Process", RecordingProcess)
+        return started
+
     def test_one_pool_per_sweep(self, monkeypatch):
-        built = []
-
-        class CountingPool(harness.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        # a sweep starts its jobs - 1 children once, and none at --jobs 1
+        started = self._record_children(monkeypatch)
         sweep_grid(self._grid(), jobs=2)
-        assert len(built) == 1
+        assert len(started) == 1
         sweep_grid(self._grid(), jobs=1)
-        assert len(built) == 1
+        assert len(started) == 1
         run_trials(self._grid()[0], jobs=2)
-        assert len(built) == 2
+        assert len(started) == 2
+        sweep_grid(self._grid(), jobs=3)
+        assert len(started) == 4
+        assert multiprocessing.active_children() == []
+        assert [child.exitcode for child in started] == [0] * 4  # joined, not terminated
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_every_chunk_is_queued_before_the_first_report(self, monkeypatch, jobs):
-        submitted = []
-
-        class RecordingPool(harness.ProcessPoolExecutor):
-            def submit(self, *args, **kwargs):
-                submitted.append(args)
-                return super().submit(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        # every chunk is claimable before the first row: each child is handed
+        # the whole chunk list when the sweep starts
+        started = self._record_children(monkeypatch)
         grid = [
             ExperimentSpec(game="dlog", attack="bsgs", n=101, t=5, trials=trials, master_seed=7)
             for trials in (1, 4, 100)
@@ -319,12 +331,66 @@ class TestSweep:
 
         def on_report(report):
             if not at_first_report:
-                at_first_report.append(len(submitted))
+                at_first_report.append([child.chunk_count for child in started])
 
         reports = sweep_grid(grid, jobs=jobs, on_report=on_report)
         expected = sum(min(jobs, spec.trials) for spec in grid)
-        assert at_first_report == [expected] and len(submitted) == expected
+        assert at_first_report == [[expected] * (jobs - 1)]
         assert [r.csv_row() for r in reports] == [r.csv_row() for r in sweep_grid(grid)]
+
+    def test_a_child_that_dies_raises_and_leaves_no_process(self, monkeypatch):
+        original, caller = harness._run_chunk, os.getpid()
+
+        def dying_chunk(spec, lo, hi):
+            if os.getpid() != caller:
+                os._exit(3)
+            return original(spec, lo, hi)
+
+        def hung(signum, frame):
+            raise TimeoutError("the sweep hung on a dead child")
+
+        monkeypatch.setattr(harness, "_run_chunk", dying_chunk)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)  # not inherited by the forked children
+        try:
+            with pytest.raises(RuntimeError, match="exited with code 3"):
+                sweep_grid(self._grid(), jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_concurrent_claims_hand_out_each_index_once(self):
+        # more claimants than cores; a lost counter update hands an index out twice
+        total, counter = 20000, multiprocessing.Value("q", 0)
+        pipes, children = [], []
+        for _ in range(5):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_send_claims, args=(counter, total, writer), daemon=True
+            )
+            child.start()
+            writer.close()
+            pipes.append(reader)
+            children.append(child)
+        claimed = [index for pipe in pipes if pipe.poll(60) for index in pipe.recv()]
+        for child in children:
+            child.join(60)
+            assert child.exitcode == 0
+        assert sorted(claimed) == list(range(total))
+
+    @pytest.mark.parametrize("jobs", [2, 3, 5])
+    def test_csv_byte_identical_to_one_job_on_uneven_trials(self, jobs):
+        grid = [
+            ExperimentSpec(game="dlog", attack="bsgs", n=101, t=5, trials=trials, master_seed=7)
+            for trials in (1, 4, 100)
+        ]
+        outputs = []
+        for j in (1, jobs):
+            buf = io.StringIO()
+            write_csv(sweep_grid(grid, jobs=j), buf)
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
 
     def test_failure_inside_a_worker_flushes_earlier_rows_and_stops_the_pool(self, monkeypatch):
         original = harness.random_sigma
@@ -334,7 +400,7 @@ class TestSweep:
                 raise ValidationError("synthetic failure in a trial")
             return original(rng, n)
 
-        # the pool's workers are forked after the patch, so only they raise
+        # the children are forked after the patch, so they raise as the caller does
         monkeypatch.setattr(harness, "random_sigma", failing_sigma)
         good = ExperimentSpec(game="dlog", attack="bsgs", n=101, t=11, trials=40, master_seed=1)
         bad = ExperimentSpec(game="dlog", attack="bsgs", n=103, t=11, trials=40, master_seed=1)
