@@ -20,9 +20,6 @@ from .infotheory import (
     INFINITE,
     FiniteDistribution,
     JointDistribution,
-    conditional_entropy,
-    conditional_kl,
-    entropy,
     kl_bernoulli,
     kl_divergence,
     mutual_information,

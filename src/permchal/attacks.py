@@ -483,9 +483,9 @@ class ConstantGuessAdversary(Attack, NonAdaptiveAdversary):
 class MultiInstanceGame(Attack):
     """The multi-instance game as an experiment: one trial is one
     ``run_mi_game(n, t, trial seed)`` run, a success when every instance
-    is solved. It plays its own game and so has no ceiling; its declared
-    advice is ``s_bits`` or 0. Adaptive: later secrets are derived from
-    earlier answers."""
+    is solved. It plays its own game and so has no ceiling. It reads no
+    advice, so S is 0 or not given. Adaptive: later secrets are derived
+    from earlier answers."""
 
     name = "mi"
     games = frozenset({GameKind.DLOG})
@@ -494,7 +494,7 @@ class MultiInstanceGame(Attack):
 
     def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
         _mi_sizes(self._game_size(game), t)  # an invalid game fails here, not when its trials run
-        self.s_bits = 0 if s_bits is None else s_bits
+        self.s_bits = self._no_advice(s_bits)
 
 
 @dataclass(frozen=True)

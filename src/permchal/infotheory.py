@@ -1,9 +1,9 @@
-"""Entropy and KL divergence over explicit finite distributions, in nats.
+"""KL divergence over explicit finite distributions, in nats.
 
-All logarithms are natural. Arithmetic is double precision with two
-package-wide tolerances: ``IDENTITY_TOL`` (1e-10) for identities that are
-exact in real arithmetic and ``NONNEG_TOL`` (1e-12) for quantities that
-are non-negative in real arithmetic.
+All logarithms are natural. Arithmetic is double precision. A mass
+vector must sum to 1 within ``MASS_TOL`` (1e-12); ``IDENTITY_TOL``
+(1e-10) is the tolerance for identities that are exact in real
+arithmetic.
 
 Conventions:
 
@@ -24,7 +24,6 @@ import numpy as np
 from .errors import ValidationError
 
 IDENTITY_TOL = 1e-10
-NONNEG_TOL = 1e-12
 MASS_TOL = 1e-12
 
 INFINITE = math.inf
@@ -72,19 +71,6 @@ class FiniteDistribution:
 
     def __len__(self) -> int:
         return len(self.support)
-
-    @classmethod
-    def uniform(cls, support: Iterable) -> "FiniteDistribution":
-        support = tuple(support)
-        n = len(support)
-        return cls(support, np.full(n, 1.0 / n))
-
-    @classmethod
-    def point_mass(cls, support: Iterable, label) -> "FiniteDistribution":
-        support = tuple(support)
-        mass = np.zeros(len(support))
-        mass[support.index(label)] = 1.0
-        return cls(support, mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,18 +124,6 @@ class JointDistribution:
             self.marginal_table(tuple(self.axes[i] for i in keep)),
         )
 
-    def to_distribution(self) -> FiniteDistribution:
-        """Flatten to a FiniteDistribution over outcome tuples."""
-        import itertools
-
-        labels = tuple(itertools.product(*self.supports))
-        return FiniteDistribution(labels, self.table.reshape(-1))
-
-
-def _entropy_of_masses(mass: np.ndarray) -> float:
-    pos = mass[mass > 0]
-    return float(-(pos * np.log(pos)).sum()) + 0.0 if pos.size else 0.0
-
 
 def _kl_of_masses(p: np.ndarray, q: np.ndarray) -> float:
     sel = p > 0
@@ -157,50 +131,6 @@ def _kl_of_masses(p: np.ndarray, q: np.ndarray) -> float:
         return INFINITE
     pp, qq = p[sel], q[sel]
     return float((pp * np.log(pp / qq)).sum())
-
-
-def entropy(p: FiniteDistribution) -> float:
-    """Shannon entropy sum p(x) ln(1/p(x)), in [0, ln |support|]."""
-    if not isinstance(p, FiniteDistribution):
-        raise ValidationError("entropy expects a FiniteDistribution")
-    return _entropy_of_masses(p.mass)
-
-
-def joint_entropy(joint: JointDistribution, names: Iterable) -> float:
-    return _entropy_of_masses(joint.marginal_table(names).reshape(-1))
-
-
-def conditional_entropy(joint: JointDistribution, target: Iterable, given: Iterable = ()) -> float:
-    """H(target | given) = E_{P(given)}[H(target | given=z)].
-
-    Also equals H(target, given) - H(given); the two evaluations are
-    cross-checked internally to IDENTITY_TOL.
-    """
-    target = tuple(target)
-    given = tuple(given)
-    if not target:
-        raise ValidationError("conditional_entropy: empty target")
-    if set(target) & set(given):
-        raise ValidationError("conditional_entropy: target and given overlap")
-    joint.axis_positions(target + given)
-
-    if not given:
-        return joint_entropy(joint, target)
-
-    block = _target_given_matrix(joint, target, given)
-    weights = block.sum(axis=0)
-    direct = 0.0
-    for z in range(block.shape[1]):
-        pz = weights[z]
-        if pz > 0:
-            direct += pz * _entropy_of_masses(block[:, z] / pz)
-
-    chain = joint_entropy(joint, target + given) - joint_entropy(joint, given)
-    if abs(direct - chain) > IDENTITY_TOL:
-        raise ValidationError(
-            f"conditional_entropy: chain-rule cross-check failed ({direct} vs {chain})"
-        )
-    return direct
 
 
 def _target_given_matrix(joint: JointDistribution, target: tuple, given: tuple) -> np.ndarray:
@@ -218,50 +148,6 @@ def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
     if p.support != q.support:
         raise ValidationError("kl_divergence: mismatched support orderings")
     return _kl_of_masses(p.mass, q.mass)
-
-
-def conditional_kl(
-    p_joint: JointDistribution,
-    q_joint: JointDistribution,
-    target: Iterable,
-    given: Iterable,
-) -> float:
-    """E over P(given) of KL(P_{target|z} || Q_{target|z}).
-
-    Conditioning values with P(given=z) = 0 are skipped; a z with
-    positive P-weight but zero Q-weight is a support violation and the
-    result is INFINITE.
-    """
-    target = tuple(target)
-    given = tuple(given)
-    if not target:
-        raise ValidationError("conditional_kl: empty target")
-    if set(target) & set(given):
-        raise ValidationError("conditional_kl: target and given overlap")
-    if p_joint.axes != q_joint.axes or p_joint.supports != q_joint.supports:
-        raise ValidationError("conditional_kl: joints must share axes and supports")
-
-    if not given:
-        p_m = p_joint.marginal_table(target).reshape(-1)
-        q_m = q_joint.marginal_table(target).reshape(-1)
-        return _kl_of_masses(p_m, q_m)
-
-    p_block = _target_given_matrix(p_joint, target, given)
-    q_block = _target_given_matrix(q_joint, target, given)
-    p_w = p_block.sum(axis=0)
-    q_w = q_block.sum(axis=0)
-    total = 0.0
-    for z in range(p_block.shape[1]):
-        pz = p_w[z]
-        if pz == 0:
-            continue
-        if q_w[z] == 0:
-            return INFINITE
-        term = _kl_of_masses(p_block[:, z] / pz, q_block[:, z] / q_w[z])
-        if term == INFINITE:
-            return INFINITE
-        total += pz * term
-    return total
 
 
 def kl_bernoulli(p: float, q: float) -> float:

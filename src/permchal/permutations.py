@@ -1,4 +1,4 @@
-"""Lexicographic (Lehmer code) permutation ranking and enumeration.
+"""Lexicographic (Lehmer code) permutation unranking and enumeration.
 
 Ranks run from 0 to n!-1 in lexicographic order of the permutation word,
 which is also the order ``itertools.permutations(range(n))`` produces.
@@ -29,21 +29,8 @@ def check_enum_size(n, what: str = "operation") -> int:
     return n
 
 
-def permutation_rank(perm) -> int:
-    """Lexicographic rank of a permutation of 0..n-1. O(n^2)."""
-    perm = tuple(perm)
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValidationError("permutation_rank: not a permutation of 0..n-1")
-    rank = 0
-    for i, v in enumerate(perm):
-        smaller_later = sum(1 for w in perm[i + 1 :] if w < v)
-        rank += smaller_later * math.factorial(n - 1 - i)
-    return rank
-
-
 def permutation_unrank(n: int, rank: int) -> tuple:
-    """Inverse of permutation_rank. O(n^2)."""
+    """The permutation of 0..n-1 with lexicographic rank ``rank``. O(n^2)."""
     if not (0 <= rank < math.factorial(n)):
         raise ValidationError(f"permutation_unrank: rank {rank} out of range for n={n}")
     available = list(range(n))

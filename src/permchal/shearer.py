@@ -43,7 +43,7 @@ from .infotheory import (
     _as_mass_array,
     kl_bernoulli,
 )
-from .permutations import check_enum_size, permutation_matrix, permutation_rank
+from .permutations import check_enum_size, permutation_matrix
 from .seeding import seeded_generator
 
 RATIO_SEARCH_MAX_N = 6
@@ -70,13 +70,6 @@ class BijectionDistribution:
     def uniform(cls, n: int) -> "BijectionDistribution":
         f = math.factorial(check_enum_size(n, "BijectionDistribution"))
         return cls(n, np.full(f, 1.0 / f))
-
-    @classmethod
-    def point_mass(cls, perm: Sequence[int]) -> "BijectionDistribution":
-        n = len(perm)
-        mass = np.zeros(math.factorial(n))
-        mass[permutation_rank(perm)] = 1.0
-        return cls(n, mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +179,10 @@ def marginal_distribution(p: BijectionDistribution, u: Iterable) -> FiniteDistri
     (zero-mass tuples included) so that divergences against the uniform
     marginal are directly computable.
     """
-    coords = tuple(sorted(set(u)))
+    try:
+        coords = tuple(sorted(set(map(operator.index, u))))
+    except TypeError:
+        raise ValidationError("marginal_distribution: coordinates must be integers") from None
     if any(not (0 <= i < p.n) for i in coords):
         raise ValidationError("marginal_distribution: coordinate out of range(n)")
     if not coords:

@@ -297,7 +297,7 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert "s_bits must be non-negative" in err
 
-    @pytest.mark.parametrize("attack,t", [("guess", 1), ("rho", 8)])
+    @pytest.mark.parametrize("attack,t", [("guess", 1), ("rho", 8), ("mi", 10)])
     def test_positive_s_bits_for_an_attack_without_advice_exit_code(self, capsys, attack, t):
         argv = ["game", "--game", "dlog", "--attack", attack, "--n", "101", "--t", str(t), "--trials", "5"]
         code, out, err = run_cli(capsys, *argv, "--s-bits", "100")

@@ -238,9 +238,8 @@ class TestAttackRegistry:
     def test_mi_plays_its_own_game_without_a_ceiling(self):
         report = run_trials(ExperimentSpec(game="dlog", attack="mi", n=101, t=10, trials=3))
         assert (report.s_bits, report.bound_theorem, report.bound_value) == (0, "", None)
-        assert run_trials(
-            ExperimentSpec(game="dlog", attack="mi", n=101, t=10, trials=1, s_bits=7)
-        ).s_bits == 7
+        with pytest.raises(ValidationError, match="reads no advice"):
+            run_trials(ExperimentSpec(game="dlog", attack="mi", n=101, t=10, trials=1, s_bits=7))
 
 
 def _send_claims(counter, total, conn):
