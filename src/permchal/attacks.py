@@ -37,6 +37,7 @@ from .games import (
     AdaptiveAdversary,
     DlogGame,
     GameKind,
+    GameOracle,
     NonAdaptiveAdversary,
     PCGame,
     random_sigma,
@@ -493,7 +494,8 @@ class MultiInstanceGame(Attack):
     own_game = True
 
     def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
-        _mi_sizes(self._game_size(game), t)  # an invalid game fails here, not when its trials run
+        self._game_size(game)
+        _mi_sizes(game, t)  # an invalid game fails here, not when its trials run
         self.s_bits = self._no_advice(s_bits)
 
 
@@ -527,9 +529,10 @@ def _smallest_generator(n: int) -> int:
     raise ValidationError(f"no generator found modulo {n}")
 
 
-def _mi_sizes(n: int, t: int, instances: Optional[int] = None, guess_count: Optional[int] = None):
-    """The checked instance and guess counts of a multi-instance game."""
-    DlogGame(n)  # the game checks that n is prime
+def _mi_sizes(game: PCGame, t: int, instances: Optional[int] = None, guess_count: Optional[int] = None):
+    """The checked instance and guess counts of a multi-instance game on ``game``."""
+    n = game.n
+    t = nonnegative_int(t, "run_mi_game: per-instance budget")
     if t < 2 or t % 2 != 0:
         raise ValidationError("per-instance budget must be a positive even number")
     if t >= n:
@@ -554,7 +557,8 @@ def run_mi_game(
     """One multi-instance run: guess the first few secrets, derive the rest.
 
     A fixed permutation hides the group; every instance gets a fresh
-    uniform secret and the same non-adaptive query coefficients
+    uniform secret d and its own ``GameOracle`` of budget t, which answers
+    the same plan of outer queries (a_i, n), reading sigma(a_i * d), for
     a_i = g^-i (i <= t/2) and a_i = g^((i - t/2) * t) (i > t/2). Output
     collisions across instances reveal linear relations between secrets,
     so any instance colliding with an already-known one is *determined*
@@ -563,51 +567,43 @@ def run_mi_game(
     post-guess instances is reported along with the fraction of cyclic
     exponent windows of length t/2 containing at least one query.
     """
-    instances, guess_count = _mi_sizes(n, t, instances, guess_count)
+    game = DlogGame(n)
+    instances, guess_count = _mi_sizes(game, t, instances, guess_count)
     rng = seeded_generator(seed, "run_mi_game")
     # one permutation fixed across instances, independent uniform secrets
     sigma = random_sigma(rng, n)
     secrets = [int(rng.integers(0, n)) for _ in range(instances)]
-    first_seen: dict = {}  # sigma output -> (instance, query index) that first produced it
     g = _smallest_generator(n)
-    g_inv = pow(g, -1, n)
-    coeff = [pow(g_inv, j, n) for j in range(1, t // 2 + 1)]
-    coeff += [pow(g, (j - t // 2) * t, n) for j in range(t // 2 + 1, t + 1)]
     coeff_exp = [(-j) % (n - 1) for j in range(1, t // 2 + 1)]
     coeff_exp += [((j - t // 2) * t) % (n - 1) for j in range(t // 2 + 1, t + 1)]
+    coeff = [pow(g, e, n) for e in coeff_exp]
+    plan = [(a, n) for a in coeff]
 
-    dlog = np.full(n, -1, dtype=np.int64)
+    dlog = [0] * n
     acc = 1
     for e in range(n - 1):
         dlog[acc] = e
         acc = (acc * g) % n
 
-    believed: dict = {}  # instance -> residue the solver uses for derivations
+    first_seen: dict = {}  # sigma output -> the point a * d the solver believes produced it
     exponents = []
     all_correct = True
     determined = 0
 
     for inst in range(instances):
         d = secrets[inst]  # residue; 0 is the element n
-        answers = []
-        points = []
-        for a in coeff:
-            u = (a * d) % n
-            points.append(u)
-            answers.append(int(sigma[(u - 1) % n]))  # the slot of residue u
+        answers = GameOracle(game, sigma, d, t).answer_plan((), plan)[1]
         if d != 0:
-            base = int(dlog[d])
-            exponents.extend((base + e) % (n - 1) for e in coeff_exp)
+            exponents.extend((dlog[d] + e) % (n - 1) for e in coeff_exp)
 
         derived: Optional[int] = None
-        if len(set(points)) < len(points):
+        if len(set(answers)) < len(answers):
             derived = 0  # distinct nonzero coefficients can only collide at 0
         else:
-            for j, v in enumerate(answers):
-                owner = first_seen.get(v)
-                if owner is not None and owner[0] in believed:
-                    i_prev, j_prev = owner
-                    derived = (coeff[j_prev] * believed[i_prev] * pow(coeff[j], -1, n)) % n
+            for a, v in zip(coeff, answers):
+                point = first_seen.get(v)
+                if point is not None:
+                    derived = point * pow(a, -1, n) % n
                     break
 
         if inst < guess_count:
@@ -618,11 +614,10 @@ def run_mi_game(
         else:
             solved = int(rng.integers(0, n))
 
-        believed[inst] = solved
         if solved != d:
             all_correct = False
-        for j, v in enumerate(answers):
-            first_seen.setdefault(v, (inst, j))
+        for a, v in zip(coeff, answers):
+            first_seen.setdefault(v, a * solved % n)
 
     post = instances - guess_count
     determined_fraction = determined / post if post > 0 else 0.0

@@ -42,7 +42,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .bounds import BoundTheorem
-from .errors import ContractViolation, ValidationError
+from .errors import ContractViolation, ValidationError, nonnegative_int
 
 MAX_SECRET_ENUMERATION = 2_000_000
 _INTEGERS = (int, np.integer)
@@ -207,7 +207,7 @@ class PCGame:
     has_trivial_post = True
 
     def __init__(self, n: int):
-        self.n = n
+        self.n = nonnegative_int(n, f"{type(self).__name__}: n")
 
     # -- element helpers ---------------------------------------------------
     def element_from_index(self, idx: int) -> int:
@@ -264,10 +264,13 @@ class PCGame:
     def _element(self, coefficients, m) -> int:
         """The element of [n] that outer query m reads under the secret's
         ``_coefficients``: the one check of a query on every path that
-        answers one. An invalid query, or a float coordinate (the index is
-        no integer), is a ``ValidationError``."""
-        self.validate_outer_query(m)
-        idx = self._translate_index(coefficients, m)
+        answers one. An invalid query, a float coordinate (the index is no
+        integer) or a coordinate that is no number is a ``ValidationError``."""
+        try:
+            self.validate_outer_query(m)
+            idx = self._translate_index(coefficients, m)
+        except TypeError:
+            idx = None
         if not isinstance(idx, _INTEGERS):
             raise ValidationError(f"outer query {m!r}: coordinates must be integers")
         return self.element_from_index(idx)
@@ -298,9 +301,9 @@ class _GgmGame(PCGame):
     arity: int
 
     def __init__(self, n: int):
-        if not is_prime(n):
-            raise ValidationError(f"{type(self).__name__}: n={n} must be prime")
         super().__init__(n)
+        if not is_prime(self.n):
+            raise ValidationError(f"{type(self).__name__}: n={n} must be prime")
 
     def element_from_index(self, idx: int) -> int:
         return self.n if idx == 0 else idx
@@ -429,9 +432,9 @@ class _EmGame(PCGame):
     has_trivial_post = False
 
     def __init__(self, n: int):
-        if not is_power_of_two(n):
-            raise ValidationError(f"{type(self).__name__}: n={n} must be a power of two")
         super().__init__(n)
+        if not is_power_of_two(self.n):
+            raise ValidationError(f"{type(self).__name__}: n={n} must be a power of two")
 
     def element_from_index(self, idx: int) -> int:
         return idx + 1

@@ -31,7 +31,9 @@ def check_enum_size(n, what: str = "operation") -> int:
 
 def permutation_unrank(n: int, rank: int) -> tuple:
     """The permutation of 0..n-1 with lexicographic rank ``rank``. O(n^2)."""
-    if not (0 <= rank < math.factorial(n)):
+    n = nonnegative_int(n, "permutation_unrank: n")
+    rank = nonnegative_int(rank, "permutation_unrank: rank")
+    if rank >= math.factorial(n):
         raise ValidationError(f"permutation_unrank: rank {rank} out of range for n={n}")
     available = list(range(n))
     out = []

@@ -81,6 +81,7 @@ class CoverFamily:
     k: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", nonnegative_int(self.n, "CoverFamily: n"))
         if self.n < 1:
             raise ValidationError("CoverFamily: n must be positive")
         try:
@@ -317,7 +318,7 @@ def indicator_support(n: int) -> tuple:
 
 
 def indicator_distribution(probs: Sequence[float]) -> FiniteDistribution:
-    return FiniteDistribution(indicator_support(len(probs)), np.asarray(probs, dtype=float))
+    return FiniteDistribution(indicator_support(len(probs)), probs)
 
 
 def indicator_shearer_gap(p: FiniteDistribution, cover: CoverFamily) -> float:

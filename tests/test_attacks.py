@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from permchal import attacks
 from permchal.attacks import (
     ATTACKS,
     BsgsAdversary,
@@ -18,8 +19,16 @@ from permchal.attacks import (
     bits_encode_array,
     run_mi_game,
 )
-from permchal.errors import ValidationError
-from permchal.games import GAME_ALIASES, LazyPermutation, build_game, is_prime, play_game, random_sigma
+from permchal.errors import ContractViolation, ValidationError
+from permchal.games import (
+    GAME_ALIASES,
+    GameOracle,
+    LazyPermutation,
+    build_game,
+    is_prime,
+    play_game,
+    random_sigma,
+)
 from permchal.harness import ExperimentSpec, build_adversary, run_trials, wilson_interval
 from permchal.seeding import derive_trial_seed, mix64, mix64_array, trial_generator
 
@@ -552,6 +561,53 @@ class TestMiGame:
     def test_bad_instances_rejected(self, instances):
         with pytest.raises(ValidationError, match="instances"):
             run_mi_game(101, 10, 0, instances=instances)
+
+    @pytest.mark.parametrize("t", [10.0, "10", None])
+    def test_non_integer_budget_rejected(self, t):
+        with pytest.raises(ValidationError, match="per-instance budget must be an integer"):
+            run_mi_game(101, t, 0)
+        with pytest.raises(ValidationError, match="per-instance budget must be an integer"):
+            ATTACKS["mi"](build_game("DLOG", 101), t)
+
+    def test_results_pinned(self):
+        """The repr of every result over a grid of sizes, seeds and both
+        guess modes, against the digest recorded when run_mi_game still
+        translated its queries and read sigma itself."""
+        grid = [(11, 2), (13, 12), (101, 4), (101, 10), (103, 20), (211, 14), (1009, 2), (1009, 60)]
+        rows = [
+            repr(run_mi_game(n, t, seed, forced_correct=forced))
+            for n, t in grid
+            for seed in range(25)
+            for forced in (False, True)
+        ]
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == "ca1a5cecb827010cf14f68de65acfc9eef7c69d3889ab9b20af4b115f83c33ca"
+
+    def test_every_instance_is_answered_by_its_own_oracle(self, monkeypatch):
+        """Each instance's plan goes through one GameOracle with budget t,
+        and sigma is read nowhere else."""
+        n, t = 101, 10
+        want = run_mi_game(n, t, 3)
+        built = []
+
+        class RecordingOracle(GameOracle):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        class UnindexableSigma(np.ndarray):
+            def __getitem__(self, key):
+                raise AssertionError("sigma read outside GameOracle.answer_plan")
+
+        make_sigma = attacks.random_sigma
+        monkeypatch.setattr(attacks, "GameOracle", RecordingOracle)
+        monkeypatch.setattr(attacks, "random_sigma", lambda rng, n: make_sigma(rng, n).view(UnindexableSigma))
+        assert run_mi_game(n, t, 3) == want
+        assert len(built) == want.instances
+        for oracle in built:
+            assert oracle.remaining == 0 and oracle.inner_log == [] and len(oracle.outer_log) == t
+            with pytest.raises(ContractViolation, match="budget"):
+                oracle.answer_plan((), [(1, n)])
 
 
 # (game, attack, n, t, s_bits): the sweep-bulk and sweep-grid benchmark points,

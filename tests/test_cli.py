@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from permchal import cli
 from permchal.attacks import ATTACKS, Attack
 from permchal.errors import ContractViolation
 from permchal.games import GameKind, NonAdaptiveAdversary
+from permchal.harness import ExperimentSpec, sweep_grid, write_json
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +177,20 @@ class TestSweepCommand:
             assert code == 0
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_json_format_is_write_json_of_the_sweep(self, tmp_path, capsys):
+        entries = [
+            {"game": "dlog", "attack": "bsgs", "n": 101, "t": 6, "trials": 20, "seed": 5},
+            {"game": "dlog", "attack": "mi", "n": 101, "t": 10, "trials": 5, "seed": 2},
+        ]
+        code, out, _ = run_cli(capsys, "sweep", "--config", self._config(tmp_path, entries), "--format", "json")
+        assert code == 0
+        buf = io.StringIO()
+        write_json(sweep_grid([ExperimentSpec(master_seed=e.pop("seed"), **e) for e in entries]), buf)
+        got, want = json.loads(out), json.loads(buf.getvalue())
+        for row in got + want:  # wall time is the one field that differs between runs
+            assert row.pop("seconds") >= 0
+        assert got == want and len(got) == 2
 
     def test_jobs_below_one_rejected(self, tmp_path, capsys):
         cfg = self._config(

@@ -156,6 +156,10 @@ class TestRunTrials:
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             ExperimentSpec(**kwargs)
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValidationError, match="trials must be at least 1"):
+            ExperimentSpec(game="dlog", attack="bsgs", n=101, t=11, trials=0)
+
     def test_numpy_integers_stored_as_python_ints(self):
         spec = ExperimentSpec("dlog", "bsgs", *map(np.int64, (101, 11, 5, 2, 300)))
         assert spec == ExperimentSpec("dlog", "bsgs", 101, 11, 5, 2, 300)

@@ -95,6 +95,14 @@ class TestBuildGame:
         with pytest.raises(ValidationError, match="unknown game kind"):
             build_game(kind, 5)
 
+    @pytest.mark.parametrize("kind,n", [("DLOG", 101.0), ("EM_KR", 8.0), ("DLOG", "7"), ("DDH", None)])
+    def test_non_integer_size_is_validation_error(self, kind, n):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            build_game(kind, n)
+
+    def test_numpy_integer_size_is_a_python_int(self):
+        assert type(build_game("DLOG", np.int64(11)).n) is int
+
 
 DESK_GAMES = (("DLOG", 7), ("DDH", 3), ("SQDDH", 5), ("EM_KR", 4), ("EM_KR_SINGLE", 8))
 
@@ -367,6 +375,11 @@ class TestPlayGame:
         with pytest.raises(ContractViolation, match="inverse"):
             GameOracle(dlog, sigma, 1, None).inner(*query)
 
+    @pytest.mark.parametrize("sigma", [np.arange(1, 5), np.arange(1, 7), np.arange(1, 6).reshape(1, 5)])
+    def test_sigma_of_the_wrong_shape_is_rejected(self, sigma):
+        with pytest.raises(ValidationError, match="length n"):
+            play_game(build_game("DLOG", 5), _FixedQueryAdversary(outer=[(1, 5)]), sigma, 1)
+
     def test_query_out_of_range(self):
         g = build_game("DLOG", 5)
         with pytest.raises(ValidationError):
@@ -480,13 +493,20 @@ FLOAT_OUTER_QUERIES = [
     ("DDH", 5, (1, 2, 3, 0), (1.5, 1, 1, 1), (1, 1, 1, 1)),
     ("SQDDH", 7, (3, 5, 1), (1, 2.5, 1), (1, 2, 1)),
 ]
+# coordinates that are no numbers at all: comparing or multiplying them raises TypeError
+NON_NUMBER_OUTER_QUERIES = [
+    ("DLOG", 11, 4, ("a", 1), (2, 1)),
+    ("DDH", 5, (1, 2, 3, 0), (1, None, 1, 1), (1, 1, 1, 1)),
+    ("SQDDH", 7, (3, 5, 1), (1, 2, "1"), (1, 2, 1)),
+]
 
 
 class TestFloatOuterQueries:
-    """A translated index that is no integer is rejected on every path that
-    answers an outer query, before any budget is charged."""
+    """A translated index that is no integer, or a coordinate that is no
+    number, is rejected on every path that answers an outer query, before
+    any budget is charged."""
 
-    @pytest.mark.parametrize("kind,n,secret,query,valid", FLOAT_OUTER_QUERIES)
+    @pytest.mark.parametrize("kind,n,secret,query,valid", FLOAT_OUTER_QUERIES + NON_NUMBER_OUTER_QUERIES)
     def test_rejected_with_the_budget_untouched(self, kind, n, secret, query, valid):
         game = build_game(kind, n)
         oracle = GameOracle(game, np.arange(1, n + 1), secret, 3)

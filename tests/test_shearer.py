@@ -60,6 +60,15 @@ class TestPermutationRanking:
         with pytest.raises(ValidationError):
             permutation_matrix(9)
 
+    @pytest.mark.parametrize("n,rank", [(3, 1.5), (2.5, 0), (-1, 0), (3, -1), ("3", 0), (3, 6)])
+    def test_unrank_rejects_bad_sizes_and_ranks(self, n, rank):
+        with pytest.raises(ValidationError, match="permutation_unrank"):
+            permutation_unrank(n, rank)
+
+    def test_unrank_of_the_empty_permutation(self):
+        assert permutation_unrank(0, 0) == ()
+        assert permutation_unrank(np.int64(3), np.int64(5)) == (2, 1, 0)
+
     def test_numpy_sizes_pass_and_non_integers_fail(self):
         n = np.int64(3)
         assert BijectionDistribution.uniform(n).n == 3
@@ -150,6 +159,14 @@ class TestCoverFamily:
     def test_numpy_integer_elements_accepted(self):
         c = CoverFamily(3, (np.arange(2), [np.int64(2)]))
         assert c.sets == (frozenset([0, 1]), frozenset([2]))
+
+    @pytest.mark.parametrize("n", [2.5, "3", None, -1, 0])
+    def test_bad_n_is_a_validation_error(self, n):
+        with pytest.raises(ValidationError, match="CoverFamily: n"):
+            CoverFamily(n, ())
+
+    def test_numpy_integer_n_is_a_python_int(self):
+        assert type(CoverFamily(np.int64(3), ()).n) is int
 
 
 class TestBijectionShearerGap:
@@ -278,6 +295,11 @@ class TestIndicatorShearerGap:
             if cover.k > 3:
                 continue
             assert indicator_shearer_gap(p, cover) >= -GAP_TOL
+
+    @pytest.mark.parametrize("probs", [[0.5, "x"], [0.5, None], [[0.5], [0.5, 0.0]]])
+    def test_non_numeric_probs_are_validation_errors(self, probs):
+        with pytest.raises(ValidationError, match="FiniteDistribution"):
+            indicator_distribution(probs)
 
     def test_support_mismatch(self):
         bad = FiniteDistribution(((1, 1, 0), (0, 0, 1), (0, 1, 0)), np.array([0.2, 0.3, 0.5]))
