@@ -529,32 +529,21 @@ def _smallest_generator(n: int) -> int:
     raise ValidationError(f"no generator found modulo {n}")
 
 
-def _mi_sizes(game: PCGame, t: int, instances: Optional[int] = None, guess_count: Optional[int] = None):
-    """The checked instance and guess counts of a multi-instance game on ``game``."""
+def _mi_sizes(game: PCGame, t: int) -> tuple:
+    """The checked instance and guess counts of a multi-instance game on
+    ``game``, 4 ceil(n/t^2) and ceil(4n/t^2), derived from n and t."""
     n = game.n
     t = nonnegative_int(t, "run_mi_game: per-instance budget")
     if t < 2 or t % 2 != 0:
         raise ValidationError("per-instance budget must be a positive even number")
     if t >= n:
         raise ValidationError("per-instance budget must be below the group size")
-    instances = 4 * math.ceil(n / (t * t)) if instances is None else instances
-    instances = nonnegative_int(instances, "run_mi_game: instances")
-    guess_count = math.ceil(4 * n / (t * t)) if guess_count is None else guess_count
-    guess_count = min(nonnegative_int(guess_count, "run_mi_game: guess count"), instances)
-    if instances < 1:
-        raise ValidationError("need at least one instance")
-    return instances, guess_count
+    return 4 * math.ceil(n / (t * t)), math.ceil(4 * n / (t * t))
 
 
-def run_mi_game(
-    n: int,
-    t: int,
-    seed: int,
-    instances: Optional[int] = None,
-    guess_count: Optional[int] = None,
-    forced_correct: bool = False,
-) -> MiGameResult:
-    """One multi-instance run: guess the first few secrets, derive the rest.
+def run_mi_game(n: int, t: int, seed: int, forced_correct: bool = False) -> MiGameResult:
+    """One multi-instance run: guess the first ceil(4n/t^2) of the
+    4 ceil(n/t^2) secrets, derive the rest.
 
     A fixed permutation hides the group; every instance gets a fresh
     uniform secret d and its own ``GameOracle`` of budget t, which answers
@@ -568,7 +557,7 @@ def run_mi_game(
     exponent windows of length t/2 containing at least one query.
     """
     game = DlogGame(n)
-    instances, guess_count = _mi_sizes(game, t, instances, guess_count)
+    instances, guess_count = _mi_sizes(game, t)
     rng = seeded_generator(seed, "run_mi_game")
     # one permutation fixed across instances, independent uniform secrets
     sigma = random_sigma(rng, n)

@@ -101,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mi = sub.add_parser("mi", help="run the multi-instance search game")
     p_mi.add_argument("--n", type=int, required=True)
     p_mi.add_argument("--t", type=int, required=True)
-    p_mi.add_argument("--instances", type=int, default=None)
-    p_mi.add_argument("--guess-count", type=int, default=None)
     p_mi.add_argument("--runs", type=int, default=1)
     p_mi.add_argument("--seed", type=int, default=0)
     p_mi.add_argument("--forced-correct", action="store_true")
@@ -223,9 +221,7 @@ def _cmd_mi(args) -> int:
     det_fracs = []
     coverages = []
     for run in range(args.runs):
-        res = run_mi_game(
-            args.n, args.t, args.seed + run, args.instances, args.guess_count, args.forced_correct
-        )
+        res = run_mi_game(args.n, args.t, args.seed + run, args.forced_correct)
         all_correct += res.all_correct
         det_fracs.append(res.determined_fraction)
         coverages.append(res.interval_coverage)

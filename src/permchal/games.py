@@ -671,15 +671,20 @@ def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
     more than ``t_budget`` queries is a ``ContractViolation``.
     Success is the comparison of the output with the game's function of the secret.
     ``sigma`` is a permutation array of length n or a ``LazyPermutation``
-    of [n]; the lazy one is drawn as the adversary reads it.
+    of [n]; the lazy one is drawn as the adversary reads it. Only an
+    array's integer dtype and length are checked: that its values form a
+    permutation of [n] is the caller's job.
     """
     if isinstance(sigma, LazyPermutation):
         if sigma.n != game.n:
             raise ValidationError("sigma must be a lazy permutation of [n]")
     else:
-        sigma = np.asarray(sigma, dtype=np.int64)
-        if sigma.shape != (game.n,):
-            raise ValidationError("sigma must be a permutation array of length n")
+        sigma = np.asarray(sigma)
+        if sigma.dtype.kind not in "iu" or sigma.shape != (game.n,):
+            raise ValidationError(
+                f"sigma must be an integer permutation array of length n, not {sigma.dtype} {sigma.shape}"
+            )
+        sigma = sigma.astype(np.int64, copy=False)
 
     advice = adversary.preprocess(sigma)
     if len(advice) > adversary.s_bits:

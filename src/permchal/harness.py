@@ -163,23 +163,28 @@ def build_adversary(spec: ExperimentSpec, game, trial_seed: int = 0):
 
 
 def _run_chunk(spec: ExperimentSpec, lo: int, hi: int) -> tuple:
-    """Successes over trials ``lo..hi-1`` and the wall seconds they took."""
+    """Successes over trials ``lo..hi-1``, the wall seconds they took and
+    the attack's declared S.
+
+    The attack is built at the first trial, before it plays, so an invalid
+    spec fails at its first chunk; a ``reseeded`` attack is rebuilt at
+    every later trial.
+    """
     start = time.perf_counter()
     attack = ATTACKS[spec.attack]
     game = build_game(spec.kind, spec.n)
     successes = 0
-    adversary = None
     for index, rng in zip(range(lo, hi), trial_generators(spec.master_seed, lo, hi)):
+        if index == lo or attack.reseeded:
+            adversary = build_adversary(spec, game, derive_trial_seed(spec.master_seed, index))
         if attack.own_game:
             tseed = derive_trial_seed(spec.master_seed, index)
             successes += run_mi_game(spec.n, spec.t, tseed).all_correct
             continue
-        if adversary is None or attack.reseeded:
-            adversary = build_adversary(spec, game, derive_trial_seed(spec.master_seed, index))
         sigma = random_sigma(rng, spec.n)
         secret = game.sample_secret(rng)
         successes += play_game(game, adversary, sigma, secret).success
-    return successes, time.perf_counter() - start
+    return successes, time.perf_counter() - start, adversary.s_bits
 
 
 def _chunks(spec: ExperimentSpec, jobs: int) -> list:
@@ -224,10 +229,13 @@ def _claimed_results(chunks: list, workers: int) -> Iterator[tuple]:
     The caller and ``workers - 1`` children claim chunk indices from one
     shared counter. The caller takes the results that are ready before each
     claim and blocks only when nothing is left to claim, so a result is
-    yielded at most one chunk after it is ready. A child that exits with a
-    non-zero code raises. Every child is joined when the generator ends;
-    on a failure, or when the generator is closed early, it is terminated
-    first, so no chunk is claimed after the failure.
+    yielded at most one chunk after it is ready. A child is watched through
+    its pipe alone: the parent closes each writer before the next fork, so
+    a pipe reads EOF only once its child is gone and everything it sent is
+    read; a child gone with a non-zero exit code raises. Every child is
+    joined when the generator ends; on a failure, or when the generator is
+    closed early, it is terminated first, so no chunk is claimed after the
+    failure.
     """
     counter = multiprocessing.Value("q", 0)
     children = []
@@ -241,35 +249,30 @@ def _claimed_results(chunks: list, workers: int) -> Iterator[tuple]:
             child.start()
             writer.close()  # so the pipe reads EOF once the child is gone
             children.append((pipe, child))
-        pipes = {pipe for pipe, _ in children}  # the pipes not yet at EOF
-        running = {child.sentinel: child for _, child in children}
+        running = dict(children)  # the children whose pipes are not yet at EOF
         done = {}
         for index in range(len(chunks)):
             while index not in done:
-                ready = wait(pipes, 0)
+                ready = wait(running, 0)
                 if not ready:
                     mine = _claim(counter, len(chunks))
                     if mine is not None:
                         done[mine] = _attempt(chunks[mine])
                         continue
-                    if not (pipes or running):
+                    if not running:
                         raise RuntimeError(f"sweep chunk {index} was claimed but never sent")
-                    ready = wait([*pipes, *running])
-                for source in ready:
-                    if source in running:
-                        # a child that exited normally may still have results in its pipe
-                        child = running.pop(source)
+                    ready = wait(running)
+                for pipe in ready:
+                    try:
+                        claimed, result = pipe.recv()
+                        done[claimed] = result
+                    except EOFError:
+                        child = running.pop(pipe)
                         child.join()
                         if child.exitcode != 0:
                             raise RuntimeError(
                                 f"sweep worker process {child.pid} exited with code {child.exitcode}"
-                            )
-                        continue
-                    try:
-                        claimed, result = source.recv()
-                        done[claimed] = result
-                    except EOFError:
-                        pipes.discard(source)
+                            ) from None
             result = done.pop(index)
             finished = index == len(chunks) - 1  # every result is in, so the children are exiting
             if isinstance(result, Exception):
@@ -284,17 +287,15 @@ def _claimed_results(chunks: list, workers: int) -> Iterator[tuple]:
 
 
 def _report(spec: ExperimentSpec, chunks: Iterable[tuple]) -> ExperimentReport:
-    """The report row of ``spec`` from its chunks' (successes, seconds).
+    """The report row of ``spec`` from its chunks' (successes, seconds, S).
 
     The report attaches the game's ceiling (none for an attack that plays
-    its own game) at the attack's declared advice length and the
-    experiment's t; the adversary is built before any chunk result is
-    read, so an invalid spec fails here.
+    its own game) at the attack's declared advice length S, which every
+    chunk's adversary holds, and the experiment's t.
     """
     theorem = None if ATTACKS[spec.attack].own_game else GAMES[spec.kind].theorem
-    game = build_game(spec.kind, spec.n)
-    declared_bits = build_adversary(spec, game, derive_trial_seed(spec.master_seed, 0)).s_bits
-    successes, seconds = map(sum, zip(*chunks))
+    successes, seconds, declared = zip(*chunks)
+    successes, declared_bits = sum(successes), declared[0]
     ci_low, ci_high = wilson_interval(successes, spec.trials)
     bound = (
         evaluate_bound(theorem, spec.n, declared_bits, spec.t) if theorem is not None else None
@@ -308,7 +309,7 @@ def _report(spec: ExperimentSpec, chunks: Iterable[tuple]) -> ExperimentReport:
         ci_high=ci_high,
         bound_theorem=theorem.value if theorem is not None else "",
         bound_value=bound,
-        seconds=seconds,
+        seconds=sum(seconds),
     )
 
 

@@ -314,6 +314,7 @@ def read_k_concentration_gap(p: BijectionDistribution, fam: ReadKFamily) -> floa
 
 def indicator_support(n: int) -> tuple:
     """Canonical support e_0, ..., e_{n-1} of one-hot vectors of length n."""
+    n = nonnegative_int(n, "indicator_support: n")
     return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
 
@@ -453,6 +454,7 @@ def random_bijection_distribution(rng: np.random.Generator, n: int) -> Bijection
 
 
 def random_cover(rng: np.random.Generator, n: int, max_sets: int = 6) -> CoverFamily:
+    n = nonnegative_int(n, "random_cover: n")
     m = int(rng.integers(1, max_sets + 1))
     sets = []
     for _ in range(m):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 
@@ -515,10 +516,18 @@ class TestConstantGuess:
 
 
 class TestMiGame:
-    def test_single_instance_vacuous(self):
-        res = run_mi_game(101, 10, 0, instances=1, guess_count=1)
-        assert res.determined_fraction == 0.0
-        assert res.instances == 1
+    def test_every_instance_guessed_determines_none(self):
+        # 4 ceil(97/100) = 4 instances, ceil(388/100) = 4 of them guessed
+        for seed in range(5):
+            res = run_mi_game(97, 10, seed)
+            assert (res.instances, res.guessed, res.determined) == (4, 4, 0)
+            assert res.determined_fraction == 0.0
+
+    def test_sizes_derive_from_n_and_t(self):
+        assert list(inspect.signature(run_mi_game).parameters) == ["n", "t", "seed", "forced_correct"]
+        for n, t, instances, guessed in [(11, 2, 12, 11), (101, 4, 28, 26), (211, 14, 8, 5), (1009, 60, 4, 2)]:
+            res = run_mi_game(n, t, 0)
+            assert (res.instances, res.guessed) == (instances, guessed)
 
     def test_forced_correct_determination(self):
         good = 0
@@ -551,16 +560,6 @@ class TestMiGame:
             run_mi_game(101, 7, 0)  # odd budget
         with pytest.raises(ValidationError):
             run_mi_game(101, 10, -1)
-
-    @pytest.mark.parametrize("guess_count", [-3, 1.5])
-    def test_bad_guess_count_rejected(self, guess_count):
-        with pytest.raises(ValidationError, match="guess count"):
-            run_mi_game(101, 10, 0, guess_count=guess_count)
-
-    @pytest.mark.parametrize("instances", [-1, 2.5, "4"])
-    def test_bad_instances_rejected(self, instances):
-        with pytest.raises(ValidationError, match="instances"):
-            run_mi_game(101, 10, 0, instances=instances)
 
     @pytest.mark.parametrize("t", [10.0, "10", None])
     def test_non_integer_budget_rejected(self, t):

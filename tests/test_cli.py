@@ -322,12 +322,13 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, *argv, "--s-bits", "0")
         assert code == 0 and out.splitlines()[2].startswith(f"dlog,{attack},101,0,")
 
-    def test_negative_guess_count_exit_code(self, capsys):
-        code, out, err = run_cli(capsys, "mi", "--n", "101", "--t", "10", "--guess-count", "-3")
-        assert code == 2 and out == ""
-        assert "guess count must be non-negative" in err
-        code, out, _ = run_cli(capsys, "mi", "--n", "101", "--t", "10", "--guess-count", "0")
-        assert code == 0 and "guessed=0" in out
+    @pytest.mark.parametrize("flag", ["--guess-count", "--instances"])
+    def test_mi_size_flags_rejected(self, capsys, flag):
+        # the instance and guess counts derive from n and t; neither is a flag
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mi", "--n", "101", "--t", "10", flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_mi(self, capsys):
         code, out, _ = run_cli(
@@ -335,6 +336,7 @@ class TestOtherCommands:
             "mi", "--n", "1009", "--t", "60", "--runs", "5", "--seed", "2", "--forced-correct",
         )
         assert code == 0
+        assert "instances=4 guessed=2" in out
         assert "determined_fraction" in out
 
     def test_bounds_table(self, capsys):

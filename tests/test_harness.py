@@ -363,6 +363,34 @@ class TestSweep:
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_attacks_are_built_only_in_their_chunks(self, monkeypatch, jobs):
+        # one game and one attack per chunk, one more attack per later trial of
+        # the reseeded rho, none for the report; counted across processes
+        builds = {name: multiprocessing.Value("q", 0) for name in ("build_game", "build_adversary")}
+
+        def counting(name):
+            original, count = getattr(harness, name), builds[name]
+
+            def wrapper(*args):
+                with count.get_lock():
+                    count.value += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in builds:
+            monkeypatch.setattr(harness, name, counting(name))
+        grid = [
+            ExperimentSpec(game="dlog", attack=attack, n=101, t=t, trials=trials, master_seed=7)
+            for attack, t, trials in [("bsgs", 5, 9), ("rho", 8, 7), ("mi", 10, 3), ("guess", 1, 1)]
+        ]
+        reports = sweep_grid(grid, jobs=jobs)
+        chunks = sum(min(jobs, spec.trials) for spec in grid)
+        assert builds["build_game"].value == chunks
+        assert builds["build_adversary"].value == chunks + 7 - min(jobs, 7)
+        assert [r.s_bits for r in reports] == [5 * 2 * 7, 0, 0, 0]
+
     def test_concurrent_claims_hand_out_each_index_once(self):
         # more claimants than cores; a lost counter update hands an index out twice
         total, counter = 20000, multiprocessing.Value("q", 0)

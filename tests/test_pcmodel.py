@@ -380,6 +380,23 @@ class TestPlayGame:
         with pytest.raises(ValidationError, match="length n"):
             play_game(build_game("DLOG", 5), _FixedQueryAdversary(outer=[(1, 5)]), sigma, 1)
 
+    @pytest.mark.parametrize("sigma", [np.ones(5), [1.5, 2, 3, 4, 5]], ids=["ones", "floats"])
+    def test_non_integer_sigma_is_rejected_before_preprocess(self, sigma):
+        class Unreachable(_FixedQueryAdversary):
+            def preprocess(self, sigma):
+                raise AssertionError("preprocess saw a non-integer sigma")
+
+        with pytest.raises(ValidationError, match="integer permutation array"):
+            play_game(build_game("DLOG", 5), Unreachable(outer=[(1, 5)]), sigma, 1)
+
+    @pytest.mark.parametrize("sigma", [np.array([3, 1, 5, 2, 4], dtype=np.int32), [3, 1, 5, 2, 4]],
+                             ids=["int32", "list"])
+    def test_integer_sigma_plays(self, sigma):
+        g, adv = build_game("DLOG", 5), _FixedQueryAdversary(outer=[(1, 5), (2, 5)])
+        tr = play_game(g, adv, sigma, 2)
+        assert tr.sigma.dtype == np.int64
+        assert tr.outer_answers == play_game(g, adv, np.array([3, 1, 5, 2, 4]), 2).outer_answers == (1, 2)
+
     def test_query_out_of_range(self):
         g = build_game("DLOG", 5)
         with pytest.raises(ValidationError):

@@ -27,6 +27,7 @@ from permchal.shearer import (
     extremal_ratio_search,
     indicator_distribution,
     indicator_shearer_gap,
+    indicator_support,
     marginal_distribution,
     pooled_deviation_gap,
     product_shearer_gap,
@@ -167,6 +168,13 @@ class TestCoverFamily:
 
     def test_numpy_integer_n_is_a_python_int(self):
         assert type(CoverFamily(np.int64(3), ()).n) is int
+
+    @pytest.mark.parametrize("n", [2.5, "3", -1])
+    def test_random_cover_and_indicator_support_check_n(self, n):
+        with pytest.raises(ValidationError, match="random_cover: n"):
+            random_cover(np.random.Generator(np.random.PCG64(0)), n)
+        with pytest.raises(ValidationError, match="indicator_support: n"):
+            indicator_support(n)
 
 
 class TestBijectionShearerGap:
