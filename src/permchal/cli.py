@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``game``       one experiment -> one report row (csv or json)
+* ``game``       one experiment -> one report row (csv or json): a one-entry sweep
 * ``sweep``      a grid of experiments from a JSON config file
 * ``uniformity`` exhaustive translation-uniformity measurement
 * ``shearer``    random verification of the bijection inequalities
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import asdict, fields
 
 from .attacks import ATTACKS, run_mi_game
@@ -31,10 +31,8 @@ from .harness import (
     build_adversary,
     check_bound_assertions,
     csv_writer,
-    run_trials,
     sweep_grid,
     verify_inequalities,
-    write_csv,
     write_json,
 )
 from .seeding import derive_trial_seed
@@ -64,7 +62,6 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="processes that run trial chunks: this one plus N-1 children (default 1, in-process)")
     p.add_argument("--out", default=None, help="output path; default stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--timing", action="store_true", help="write measured wall clock into the CSV (breaks byte-reproducibility)")
     p.add_argument("--assert", dest="assert_bounds", action="store_true", help="exit 4 if any non-adaptive row exceeds its ceiling")
 
 
@@ -117,8 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _checked(spec: ExperimentSpec) -> ExperimentSpec:
+    """``spec``, once its game and adversary build: an invalid spec fails
+    before any output is opened."""
+    build_adversary(spec, build_game(spec.kind, spec.n), derive_trial_seed(spec.master_seed, 0))
+    return spec
+
+
 def _spec_from_mapping(entry, index: int) -> ExperimentSpec:
-    """One sweep config entry as a spec whose adversary builds; errors name the entry."""
+    """One sweep config entry as a checked spec; errors name the entry."""
     where = f"config entry {index}"
     if not isinstance(entry, tuple):
         raise ValidationError(f"{where}: must be a JSON object, not {entry!r}")
@@ -135,11 +139,9 @@ def _spec_from_mapping(entry, index: int) -> ExperimentSpec:
         raise ValidationError(f"{where}: missing keys {sorted(missing)}")
     seed = normalized.pop("seed", 0)
     try:
-        spec = ExperimentSpec(master_seed=seed, **normalized)
-        build_adversary(spec, build_game(spec.kind, spec.n), derive_trial_seed(spec.master_seed, 0))
+        return _checked(ExperimentSpec(master_seed=seed, **normalized))
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
-    return spec
 
 
 def _load_sweep_config(path: str) -> list:
@@ -151,13 +153,20 @@ def _load_sweep_config(path: str) -> list:
     return [_spec_from_mapping(entry, i) for i, entry in enumerate(data)]
 
 
-def _output(args, stack: ExitStack):
-    if args.out is None:
-        return sys.stdout
-    return stack.enter_context(open(args.out, "w", encoding="utf-8", newline=""))
-
-
-def _assert_exit(args, reports) -> int:
+def _run(args, specs: list) -> int:
+    """Run checked ``specs`` and write their report rows to ``--out`` (default
+    stdout): CSV rows stream out as each spec completes, JSON is written at
+    the end. Under ``--assert``, exit 4 if a non-adaptive row exceeds its
+    ceiling."""
+    # reject what fails before any row, so an invalid run leaves --out untouched
+    if args.jobs < 1:
+        raise ValidationError("jobs must be at least 1")
+    out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
+    with out as fh:
+        on_report = csv_writer(fh) if args.format == "csv" else None
+        reports = sweep_grid(specs, jobs=args.jobs, on_report=on_report)
+        if args.format == "json":
+            write_json(reports, fh)
     if args.assert_bounds and check_bound_assertions(reports):
         print("bound assertion failed", file=sys.stderr)
         return EXIT_ASSERT
@@ -166,29 +175,11 @@ def _assert_exit(args, reports) -> int:
 
 def _cmd_game(args) -> int:
     spec = ExperimentSpec(master_seed=args.seed, **{k: getattr(args, k) for k in _SPEC_KEYS - {"seed"}})
-    report = run_trials(spec, jobs=args.jobs)
-    with ExitStack() as stack:
-        fh = _output(args, stack)
-        if args.format == "json":
-            write_json([report], fh)
-        else:
-            write_csv([report], fh, timing=args.timing)
-    return _assert_exit(args, [report])
+    return _run(args, [_checked(spec)])
 
 
 def _cmd_sweep(args) -> int:
-    # reject what fails before any row, so an invalid sweep leaves --out untouched
-    specs = _load_sweep_config(args.config)
-    if args.jobs < 1:
-        raise ValidationError("jobs must be at least 1")
-    with ExitStack() as stack:
-        fh = _output(args, stack)
-        # CSV rows stream out as each spec completes; JSON is written at the end
-        on_report = csv_writer(fh, timing=args.timing) if args.format == "csv" else None
-        reports = sweep_grid(specs, jobs=args.jobs, on_report=on_report)
-        if args.format == "json":
-            write_json(reports, fh)
-    return _assert_exit(args, reports)
+    return _run(args, _load_sweep_config(args.config))
 
 
 def _cmd_uniformity(args) -> int:

@@ -257,10 +257,6 @@ class PCGame:
         order: every other query's counts relabel those of an earlier one."""
         return self.iter_outer_queries()
 
-    def translate_index(self, secret, m) -> int:
-        """0-based index of the sigma input addressed by outer query m."""
-        return self._translate_index(self._coefficients(secret), m)
-
     def _element(self, coefficients, m) -> int:
         """The element of [n] that outer query m reads under the secret's
         ``_coefficients``: the one check of a query on every path that

@@ -4,9 +4,9 @@ Every trial derives its own RNG stream from (master seed, trial index),
 so runs are reproducible bit-for-bit regardless of worker count, and
 aggregate counts are order-insensitive. CSV output is the product: a
 versioned header comment, a fixed column order, fixed float formatting.
-Wall-clock measurements are kept out of the CSV by default so that two
-runs of the same spec are byte-identical; ``timing=True`` (CLI
-``--timing``) opts into measured seconds at the cost of that guarantee.
+Wall-clock measurements are kept out of the CSV, whose ``seconds`` column
+is always ``0.000``, so that two runs of the same spec are byte-identical;
+the measured seconds are in the JSON output.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class ExperimentReport:
     bound_value: Optional[float]
     seconds: float
 
-    def csv_row(self, timing: bool = False) -> list:
+    def csv_row(self) -> list:
         return [
             self.spec.game,
             self.spec.attack,
@@ -135,7 +135,7 @@ class ExperimentReport:
             self.bound_theorem,
             "" if self.bound_value is None else f"{self.bound_value:.6f}",
             str(self.spec.master_seed),
-            f"{self.seconds:.3f}" if timing else "0.000",
+            "0.000",  # measured seconds go to JSON only, so CSV bytes are reproducible
         ]
 
     def to_json_dict(self) -> dict:
@@ -363,20 +363,20 @@ def sweep_grid(
     return reports
 
 
-def csv_writer(fh, timing: bool = False) -> Callable[[ExperimentReport], None]:
+def csv_writer(fh) -> Callable[[ExperimentReport], None]:
     """Write the CSV header; the returned callback writes and flushes one row."""
     fh.write(CSV_VERSION_LINE + "\n")
     fh.write(",".join(CSV_COLUMNS) + "\n")
 
     def write_row(report: ExperimentReport) -> None:
-        fh.write(",".join(report.csv_row(timing=timing)) + "\n")
+        fh.write(",".join(report.csv_row()) + "\n")
         fh.flush()
 
     return write_row
 
 
-def write_csv(reports: Iterable[ExperimentReport], fh, timing: bool = False) -> None:
-    write_row = csv_writer(fh, timing)
+def write_csv(reports: Iterable[ExperimentReport], fh) -> None:
+    write_row = csv_writer(fh)
     for r in reports:
         write_row(r)
 

@@ -17,8 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, nonnegative_int
 from .games import GameOracle, GameTranscript, PCGame, _sample_outside
+from .seeding import seeded_generator
 
 
 def _complement(n: int, pinned) -> np.ndarray:
@@ -66,6 +67,7 @@ def sample_constrained_permutation(
 
 def _pinned_permutation(n: int, constraints: MidConstraints, arrange) -> np.ndarray:
     """sigma(I_j) = O_j, and ``arrange(free values)`` at the free positions, both sorted."""
+    n = nonnegative_int(n, "constrained permutation: n")
     constraints.validate_range(n)
     sigma = np.zeros(n, dtype=np.int64)
     sigma[np.array(constraints.inputs, dtype=np.int64) - 1] = constraints.outputs
@@ -86,7 +88,7 @@ def play_mid_game(
     ``decide`` maps the tuple of outer answers to the output value; the
     pinned values count as the t1 inner budget of the transcript.
     """
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    rng = seeded_generator(rng_seed, "play_mid_game")
     sigma = sample_constrained_permutation(game.n, constraints, rng)
     _, answers = GameOracle(game, sigma, secret, None).answer_plan((), outer_queries)
     output = decide(answers)
@@ -128,7 +130,7 @@ def mid_simulation_oracle(
     Responses are post-processed with the secret as in the real game.
     """
     constraints.validate_range(game.n)
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    rng = seeded_generator(rng_seed, "mid_simulation_oracle")
     pin = {i: o for i, o in zip(constraints.inputs, constraints.outputs)}
     pinned_out = set(constraints.outputs)
     value_of: dict = {}

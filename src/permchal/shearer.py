@@ -277,8 +277,7 @@ def product_shearer_gap(p: JointDistribution, cover: CoverFamily) -> float:
         coords = tuple(sorted(s))
         if not coords:
             continue
-        drop = tuple(i for i in range(n) if i not in coords)
-        marg = p.table.sum(axis=drop).reshape(-1) if drop else flat
+        marg = p.marginal_table(p.axes[i] for i in coords).reshape(-1)
         total += _kl_vs_uniform(marg, size ** len(coords))
     return cover.k * kl_full - total
 
@@ -359,10 +358,12 @@ def pooled_deviation_gap(n: int, probs: Sequence[float]) -> float:
 
     which is non-negative whenever l <= n/4.
     """
-    probs = [float(x) for x in probs]
+    n = nonnegative_int(n, "pooled_deviation_gap: n")
+    probs = _as_float_array(probs, "pooled_deviation_gap")
+    if n < 1 or probs.ndim != 1 or probs.size == 0:
+        raise ValidationError("pooled_deviation_gap: need n >= 1 and a list of at least one entry")
+    probs = probs.tolist()
     ell = len(probs)
-    if n < 1 or ell == 0:
-        raise ValidationError("pooled_deviation_gap: need n >= 1 and at least one entry")
     if ell > n / 4:
         raise ValidationError("pooled_deviation_gap: requires l <= n/4")
     if any(not (0.0 < x < 1.0) for x in probs):
@@ -449,6 +450,7 @@ def extremal_ratio_search(
 
 def random_bijection_distribution(rng: np.random.Generator, n: int) -> BijectionDistribution:
     """Flat-Dirichlet random distribution; full support avoids infinite KL."""
+    n = check_enum_size(n, "random_bijection_distribution")
     mass = rng.dirichlet(np.ones(math.factorial(n)))
     return BijectionDistribution(n, mass / mass.sum())
 
@@ -465,6 +467,7 @@ def random_cover(rng: np.random.Generator, n: int, max_sets: int = 6) -> CoverFa
 
 def random_read_k_family(rng: np.random.Generator, n: int) -> ReadKFamily:
     """One to four functions, each on a random subset of the coordinates."""
+    n = check_enum_size(n, "random_read_k_family")
     m = int(rng.integers(1, 5))
     functions = []
     for _ in range(m):

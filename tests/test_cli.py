@@ -7,7 +7,7 @@ from permchal import cli
 from permchal.attacks import ATTACKS, Attack
 from permchal.errors import ContractViolation
 from permchal.games import GameKind, NonAdaptiveAdversary
-from permchal.harness import ExperimentSpec, sweep_grid, write_json
+from permchal.harness import CSV_COLUMNS, CSV_VERSION_LINE, ExperimentSpec, sweep_grid, write_json
 
 
 def run_cli(capsys, *argv):
@@ -30,7 +30,7 @@ class TestGameCommand:
         row = lines[2].split(",")
         assert row[:3] == ["dlog", "bsgs", "101"]
         assert row[7] == "1.000000"  # p_hat
-        assert row[13] == "0.000"  # timing defaults off
+        assert row[13] == "0.000"  # measured seconds go to JSON only
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -83,17 +83,19 @@ class TestGameCommand:
         assert "bound assertion" in err
 
     def test_contract_violation_exit_code(self, capsys, monkeypatch):
-        def boom(spec, jobs=1):
+        def boom(specs, jobs=1, on_report=None):
             raise ContractViolation("synthetic violation")
 
-        monkeypatch.setattr(cli, "run_trials", boom)
-        code, _, err = run_cli(
+        monkeypatch.setattr(cli, "sweep_grid", boom)
+        code, out, err = run_cli(
             capsys,
             "game", "--game", "dlog", "--attack", "bsgs",
             "--n", "11", "--t", "3", "--trials", "5",
         )
         assert code == 3
         assert "synthetic violation" in err
+        # the header is written before the trials run, as for a sweep
+        assert out.splitlines() == [CSV_VERSION_LINE, ",".join(CSV_COLUMNS)]
 
     def test_plan_over_the_query_budget_exit_code(self, capsys, monkeypatch):
         class OverBudget(Attack, NonAdaptiveAdversary):
@@ -122,6 +124,56 @@ class TestGameCommand:
         with pytest.raises(SystemExit):
             cli.main(["game", "--game", "dlog", "--attack", "nope", "--n", "11", "--t", "1", "--trials", "1"])
         assert "sqddh-majority" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_game_is_a_one_entry_sweep(self, tmp_path, capsys, jobs, fmt):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(
+            [{"game": "sqddh", "attack": "sqddh-majority", "n": 127, "t": 8, "trials": 30, "seed": 4}]
+        ))
+        outputs = []
+        for argv in (
+            ["game", "--game", "sqddh", "--attack", "sqddh-majority",
+             "--n", "127", "--t", "8", "--trials", "30", "--seed", "4"],
+            ["sweep", "--config", str(config)],
+        ):
+            out_path = tmp_path / f"{argv[0]}.{fmt}"
+            code, out, _ = run_cli(
+                capsys, *argv, "--jobs", jobs, "--format", fmt, "--out", str(out_path)
+            )
+            assert code == 0 and out == ""
+            outputs.append(out_path.read_text())
+        if fmt == "json":  # wall time is the one field that differs between runs
+            outputs = [json.loads(text) for text in outputs]
+            for row in outputs[0] + outputs[1]:
+                assert row.pop("seconds") > 0
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["game", "sweep"])
+    def test_timing_flag_rejected(self, tmp_path, capsys, command):
+        # measured seconds are in --format json; CSV bytes never depend on the clock
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps([{"game": "dlog", "attack": "guess", "n": 11, "t": 1, "trials": 2}]))
+        argv = {
+            "game": ["game", "--game", "dlog", "--attack", "guess", "--n", "11", "--t", "1", "--trials", "2"],
+            "sweep": ["sweep", "--config", str(config)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--timing"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --timing" in capsys.readouterr().err
+
+    def test_invalid_game_leaves_out_untouched(self, tmp_path, capsys):
+        out_path = tmp_path / "o.csv"
+        out_path.write_text("previous run\n")
+        code, _, err = run_cli(
+            capsys,
+            "game", "--game", "dlog", "--attack", "bsgs",
+            "--n", "11", "--t", "12", "--trials", "5", "--out", str(out_path),
+        )
+        assert code == 2 and "Traceback" not in err
+        assert out_path.read_text() == "previous run\n"
 
 
 class TestSweepCommand:

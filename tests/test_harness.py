@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 import multiprocessing
 import os
@@ -445,9 +446,9 @@ class TestSweep:
     def test_timed_rows_carry_their_chunks_seconds(self, jobs):
         buf = io.StringIO()
         reports = sweep_grid(self._grid(), jobs=jobs)
-        write_csv(reports, buf, timing=True)
-        rows = [line.split(",") for line in buf.getvalue().splitlines()[2:]]
-        assert len(rows) == 3 and all(float(row[-1]) > 0 for row in rows)
+        write_json(reports, buf)
+        rows = json.loads(buf.getvalue())
+        assert len(rows) == 3 and all(row["seconds"] > 0 for row in rows)
         assert all(r.seconds > 0 for r in reports)
 
     def test_byte_identical_csv_across_jobs(self):

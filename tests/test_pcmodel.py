@@ -271,7 +271,7 @@ class TestMeasureUniformity:
         secrets = list(g.iter_secrets())
         for m in g.iter_outer_queries():
             batch = g._translate_index(g._secret_columns, m)
-            assert batch.tolist() == [g.translate_index(d, m) for d in secrets]
+            assert batch.tolist() == [g._translate_index(g._coefficients(d), m) for d in secrets]
 
 
 class TestPlayGame:
@@ -300,7 +300,7 @@ class TestPlayGame:
             adv = _FixedQueryAdversary(outer=queries)
             tr = play_game(g, adv, sigma, secret)
             for m, ans in zip(queries, tr.outer_answers):
-                element = g.element_from_index(g.translate_index(secret, m))
+                element = g.translate(secret, m)
                 assert ans == g.post_process(secret, int(sigma[element - 1]))
             assert tr.t1 + tr.t2 == 3
             assert tr.success == int(tr.output == g.success_target(secret))
@@ -722,6 +722,21 @@ class TestMidGame:
         assert c.inputs == (1, 3) and c.outputs == (2, 4)
         assert all(type(v) is int for v in c.inputs + c.outputs)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_bad_seed_is_a_validation_error(self, seed):
+        g = build_game("DLOG", 11)
+        pins = MidConstraints((1,), (2,))
+        with pytest.raises(ValidationError, match="play_mid_game: seed"):
+            play_mid_game(g, pins, [(1, 3)], lambda a: 1, 3, seed)
+        with pytest.raises(ValidationError, match="mid_simulation_oracle: seed"):
+            mid_simulation_oracle(g, pins, [(1, 3)], 3, seed)
+
+    @pytest.mark.parametrize("n", [2.5, -3, "3"])
+    def test_bad_n_of_a_constrained_permutation(self, n):
+        rng = np.random.Generator(np.random.PCG64(0))
+        with pytest.raises(ValidationError, match="constrained permutation: n"):
+            sample_constrained_permutation(n, MidConstraints((1,), (2,)), rng)
+
     def test_full_constraints_determine_sigma(self):
         g = build_game("DLOG", 5)
         perm = (3, 1, 4, 5, 2)
@@ -917,7 +932,7 @@ class TestMidSimulationOracle:
         exact = sum(
             1
             for d in g.iter_secrets()
-            if any(g.element_from_index(g.translate_index(d, m)) in set(ins) for m in queries)
+            if any(g.translate(d, m) in set(ins) for m in queries)
         ) / 101
         assert exact <= 100 / 101  # the union bound t1*t2/u
         runs = 30000

@@ -176,6 +176,16 @@ class TestCoverFamily:
         with pytest.raises(ValidationError, match="indicator_support: n"):
             indicator_support(n)
 
+    @pytest.mark.parametrize("n", [2.5, "3", 0, 9, 13])
+    @pytest.mark.parametrize("sampler", [random_bijection_distribution, random_read_k_family])
+    def test_samplers_check_n_before_drawing(self, sampler, n):
+        # at n = 13 an unchecked draw asks numpy for gigabytes before failing
+        rng = np.random.Generator(np.random.PCG64(0))
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match=f"{sampler.__name__}: n"):
+            sampler(rng, n)
+        assert rng.bit_generator.state == state
+
 
 class TestBijectionShearerGap:
     def test_uniform_is_zero(self):
@@ -339,6 +349,13 @@ class TestPooledDeviationGap:
             pooled_deviation_gap(8, [0.0, 0.2])
         with pytest.raises(ValidationError):
             pooled_deviation_gap(100, [0.9, 0.2])  # sums above 1
+
+    @pytest.mark.parametrize(
+        "n,probs", [("8", [0.1]), (2.5, [0.1]), (-8, [0.1]), (8, ["a"]), (8, [[0.1]]), (8, 0.1)]
+    )
+    def test_malformed_input_is_a_validation_error(self, n, probs):
+        with pytest.raises(ValidationError, match="pooled_deviation_gap"):
+            pooled_deviation_gap(n, probs)
 
 
 class TestExtremalRatioSearch:
