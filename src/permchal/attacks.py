@@ -108,6 +108,12 @@ class Attack:
         return game.n
 
     @classmethod
+    def _budgets(cls, t, s_bits) -> tuple:
+        """T and S (None: unset) of this attack, each a non-negative integer."""
+        s_bits = None if s_bits is None else nonnegative_int(s_bits, f"attack {cls.name!r}: s_bits")
+        return nonnegative_int(t, f"attack {cls.name!r}: t"), s_bits
+
+    @classmethod
     def _no_advice(cls, s_bits: Optional[int]) -> int:
         """S of an attack that reads no advice: 0, given as 0 or not at all."""
         if s_bits:
@@ -137,6 +143,7 @@ class BsgsAdversary(Attack, NonAdaptiveAdversary):
 
     def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
         n = self.n = self._game_size(game)
+        t, s_bits = self._budgets(t, s_bits)
         if not (1 <= t <= n):
             raise ValidationError("table width m = t out of range")
         self.m = t
@@ -181,6 +188,7 @@ class PollardRhoAdversary(Attack, AdaptiveAdversary):
 
     def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
         self.n = self._game_size(game)
+        t, s_bits = self._budgets(t, s_bits)
         if t < 4:
             raise ValidationError("query budget too small")
         super().__init__(s_bits=self._no_advice(s_bits), t_budget=t)
@@ -258,6 +266,7 @@ class ChainPreprocessingDlog(Attack, AdaptiveAdversary):
 
     def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
         n = self.n = self._game_size(game)
+        t, s_bits = self._budgets(t, s_bits)
         if s_bits is None:
             raise ValidationError("chains attack needs s_bits to size the endpoint table")
         if t < 1:
@@ -344,6 +353,7 @@ class DaemenEmAdversary(Attack, NonAdaptiveAdversary):
 
     def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
         n = self.n = self._game_size(game)
+        t, s_bits = self._budgets(t, s_bits)
         if t < 4 or t % 4 != 0:
             raise ValidationError("outer budget must be a positive multiple of 4")
         self.width = _field_width(n)
@@ -412,6 +422,7 @@ class SqddhMajorityAdversary(Attack, NonAdaptiveAdversary):
 
     def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
         n = self.n = self._game_size(game)
+        t, s_bits = self._budgets(t, s_bits)
         if t < 2 or t % 2 != 0:
             raise ValidationError("query budget must be a positive even number")
         self.buckets = 8 if s_bits is None else s_bits
@@ -469,6 +480,7 @@ class ConstantGuessAdversary(Attack, NonAdaptiveAdversary):
     games = frozenset(GameKind)
 
     def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
+        t, s_bits = self._budgets(t, s_bits)
         super().__init__(s_bits=self._no_advice(s_bits), t_budget=t)  # it plays every game
         self.value = game.success_target(next(game.iter_secrets()))
 
@@ -496,7 +508,7 @@ class MultiInstanceGame(Attack):
     def __init__(self, game: PCGame, t: int, s_bits: Optional[int] = None, seed: int = 0):
         self._game_size(game)
         _mi_sizes(game, t)  # an invalid game fails here, not when its trials run
-        self.s_bits = self._no_advice(s_bits)
+        self.s_bits = self._no_advice(self._budgets(t, s_bits)[1])
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ defaults are the classical no-advice ceilings. Values are clamped to [0, 1].
 from __future__ import annotations
 
 import math
+import numbers
 from enum import Enum
 from typing import Optional
 
@@ -70,9 +71,12 @@ def evaluate_bound(theorem, n: int, s_bits: float, t: float,
     T41 and TE1 need u and maxS. A named theorem derives u from n, so a u
     is a ``ValidationError``, and maxS defaults to its no-advice ceiling.
     """
+    if theorem not in tuple(BoundTheorem):
+        raise ValidationError(f"unknown theorem {theorem!r}")
     theorem = BoundTheorem(theorem)
-    if not all(math.isfinite(v) for v in (n, s_bits, t, u, max_s) if v is not None):
-        raise ValidationError("n, s_bits, t, u and maxS must be finite")
+    values = [n, s_bits, t] + [v for v in (u, max_s) if v is not None]
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
+        raise ValidationError("n, s_bits, t, u and maxS must be finite numbers")
     if n <= 0:
         raise ValidationError("n must be positive")
     if s_bits < 0 or t < 0:

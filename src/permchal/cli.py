@@ -23,7 +23,7 @@ from dataclasses import asdict, fields
 
 from .attacks import ATTACKS, run_mi_game
 from .bounds import BoundTheorem, evaluate_bound
-from .errors import ContractViolation, PermchalError, ValidationError
+from .errors import ContractViolation, PermchalError, ValidationError, nonnegative_int
 from .games import build_game, measure_uniformity
 from .harness import (
     GAME_ALIASES,
@@ -208,11 +208,12 @@ def _cmd_shearer(args) -> int:
 def _cmd_mi(args) -> int:
     if args.runs < 1:
         raise ValidationError("mi: --runs must be at least 1")
+    seed = nonnegative_int(args.seed, "mi: seed")
     all_correct = 0
     det_fracs = []
     coverages = []
-    for run in range(args.runs):
-        res = run_mi_game(args.n, args.t, args.seed + run, args.forced_correct)
+    for run in range(args.runs):  # run r is trial r of a sweep mi row with this seed
+        res = run_mi_game(args.n, args.t, derive_trial_seed(seed, run), args.forced_correct)
         all_correct += res.all_correct
         det_fracs.append(res.determined_fraction)
         coverages.append(res.interval_coverage)

@@ -513,9 +513,7 @@ class _Adversary:
     """
 
     def __init__(self, s_bits: Optional[int], t_budget: Optional[int] = None, required: int = 0):
-        s_bits = required if s_bits is None else s_bits
-        if s_bits < 0:
-            raise ValidationError("s_bits must be non-negative")
+        s_bits = required if s_bits is None else nonnegative_int(s_bits, "s_bits")
         if required > s_bits:
             raise ValidationError(f"the advice encoding needs {required} bits, bound is {s_bits}")
         self.s_bits = s_bits
@@ -559,10 +557,13 @@ class GameOracle:
     """The one query interface of a game: answers, counts and logs queries.
 
     Adaptive adversaries drive it one query at a time; ``play_game``
-    answers a non-adaptive plan with ``answer_plan``. ``sigma`` is a
-    permutation array or a ``LazyPermutation``, as in ``play_game``. A
-    query is validated before it is charged to the budget T, so a rejected
-    query leaves ``remaining`` as it was.
+    answers a non-adaptive plan with ``answer_plan``, the one place an
+    inner query is checked and read (``inner`` is a plan of one).
+    ``inner_log`` and ``outer_log`` hold every answer in order. ``sigma``
+    is a permutation array or a ``LazyPermutation``, as in ``play_game``,
+    and T a non-negative integer or None (unbounded). A query is
+    validated before it is charged to T, so a rejected query leaves
+    ``remaining`` as it was.
     """
 
     def __init__(
@@ -573,7 +574,7 @@ class GameOracle:
         self._inv: Optional[np.ndarray] = None
         self._secret = secret
         self._coefficients = game._coefficients(secret)
-        self._left = t_budget
+        self._left = None if t_budget is None else nonnegative_int(t_budget, "GameOracle: t_budget")
         self.inner_log: list = []
         self.outer_log: list = []
 
@@ -588,26 +589,8 @@ class GameOracle:
                 raise ContractViolation(f"query budget exceeded: {count} asked, {self._left} left")
             self._left -= count
 
-    def _check_inner(self, i, inverse: bool) -> None:
-        game = self._game
-        if inverse and not game.allow_inverse_inner:
-            raise ContractViolation(f"{game.kind.value} forbids inverse inner queries")
-        if not (isinstance(i, _INTEGERS) and 1 <= i <= game.n):
-            raise ValidationError(f"inner query {i!r} out of range [1, {game.n}]")
-
-    def _read_inner(self, i, inverse: bool) -> int:
-        if inverse:
-            if self._inv is None:
-                self._inv = sigma_inverse(self._sigma)
-            return int(self._inv[i - 1])
-        return int(self._sigma[i - 1])
-
     def inner(self, i: int, inverse: bool = False) -> int:
-        self._check_inner(i, inverse)
-        self._spend(1)
-        v = self._read_inner(i, inverse)
-        self.inner_log.append(v)
-        return v
+        return self.answer_plan([(i, inverse)], ())[0][0]
 
     def outer(self, m) -> int:
         game = self._game
@@ -620,8 +603,8 @@ class GameOracle:
     def answer_plan(self, inner_queries, outer_queries) -> tuple:
         """The inner and outer answers to a whole non-adaptive plan.
 
-        An inner query is i or (i, inverse). Every query is validated as by
-        ``inner`` and ``outer``, then the plan is charged at once, then
+        An inner query is i or (i, inverse). Every query is validated, the
+        outer ones as by ``outer``, then the plan is charged at once, then
         answered: the inner queries in order, the outer ones by one gather
         ``sigma.take`` of their translated slots and one ``post_process``
         of the values read. On an array sigma the answers are those of
@@ -633,27 +616,21 @@ class GameOracle:
         game = self._game
         inner = [q if isinstance(q, tuple) else (q, False) for q in inner_queries]
         for i, inverse in inner:
-            self._check_inner(i, inverse)
-        slots = self._plan_slots(outer_queries) if len(outer_queries) else None
-        self._spend(len(inner) + len(outer_queries))
-        inner_answers = [self._read_inner(i, inverse) for i, inverse in inner]
-        outer_answers = [] if slots is None else (
-            game.post_process(self._secret, self._sigma.take(slots)).tolist()
-        )
+            if inverse and not game.allow_inverse_inner:
+                raise ContractViolation(f"{game.kind.value} forbids inverse inner queries")
+            if not (isinstance(i, _INTEGERS) and 1 <= i <= game.n):
+                raise ValidationError(f"inner query {i!r} out of range [1, {game.n}]")
+        # each outer query is translated on its own, in exact Python integers: for plans of a
+        # few dozen queries that beats a dozen numpy calls broadcasting over query columns
+        slots = [game._element(self._coefficients, m) - 1 for m in outer_queries]
+        self._spend(len(inner) + len(slots))
+        if self._inv is None and any(inverse for _, inverse in inner):
+            self._inv = sigma_inverse(self._sigma)
+        inner_answers = [int((self._inv if inverse else self._sigma)[i - 1]) for i, inverse in inner]
+        outer_answers = game.post_process(self._secret, self._sigma.take(slots)).tolist() if slots else []
         self.inner_log += inner_answers
         self.outer_log += outer_answers
         return tuple(inner_answers), tuple(outer_answers)
-
-    def _plan_slots(self, outer_queries) -> np.ndarray:
-        """The sigma slots that outer queries read, each query checked by ``_element``.
-
-        Each query is translated on its own, in exact Python integers: for
-        plans of a few dozen queries that is faster than broadcasting the
-        translation over query columns, whose dozen numpy calls on tiny
-        arrays cost more than the per-query arithmetic.
-        """
-        element, coefficients = self._game._element, self._coefficients
-        return np.array([element(coefficients, m) - 1 for m in outer_queries])
 
 
 def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
@@ -663,7 +640,8 @@ def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
     stage is driven per the adversary's adaptivity contract, and every
     query is answered by a ``GameOracle``: an adaptive adversary drives
     it; a non-adaptive one is asked for its plan once, with the advice as
-    its only input, and decides once on the answers. Advice over ``s_bits`` or
+    its only input, and decides once on the answers. Either way the
+    transcript's answers are the oracle's logs. Advice over ``s_bits`` or
     more than ``t_budget`` queries is a ``ContractViolation``.
     Success is the comparison of the output with the game's function of the secret.
     ``sigma`` is a permutation array of length n or a ``LazyPermutation``
@@ -691,18 +669,16 @@ def play_game(game: PCGame, adversary, sigma, secret) -> GameTranscript:
     oracle = GameOracle(game, sigma, secret, adversary.t_budget)
     if adversary.adaptive:
         output = adversary.run(advice, oracle)
-        inner_answers, outer_answers = tuple(oracle.inner_log), tuple(oracle.outer_log)
     else:
-        inner_answers, outer_answers = oracle.answer_plan(*adversary.plan(advice))
-        output = adversary.decide(advice, inner_answers, outer_answers)
+        output = adversary.decide(advice, *oracle.answer_plan(*adversary.plan(advice)))
 
     success = int(output == game.success_target(secret))
     return GameTranscript(
         sigma=sigma,
         secret=secret,
         advice=advice,
-        inner_answers=inner_answers,
-        outer_answers=outer_answers,
+        inner_answers=tuple(oracle.inner_log),
+        outer_answers=tuple(oracle.outer_log),
         output=output,
         success=success,
     )

@@ -346,6 +346,7 @@ def sweep_grid(
     """
     if not specs:
         raise ValidationError("sweep_grid: empty grid")
+    jobs = nonnegative_int(jobs, "jobs")
     if jobs < 1:
         raise ValidationError("jobs must be at least 1")
     workers = min(jobs, max(spec.trials for spec in specs))

@@ -716,3 +716,77 @@ class TestConstruction:
                         assert adv.t1 * width <= s_bits < 2 * adv.t1 * width
                         assert len(adv.stored) == adv.t1
         assert kept > 1000 and shrunk > 100
+
+
+# (attack, game kind, n, t, S) of an attack that is built as stated; numpy
+# integers pass as well
+INTEGER_SIZES = [
+    ("bsgs", "DLOG", 11, np.int64(4), np.int64(100)),
+    ("rho", "DLOG", 101, np.int64(8), None),
+    ("chains", "DLOG", 11, 4, np.int64(100)),
+    ("daemen", "EM_KR", 64, 8, None),
+    ("sqddh-majority", "SQDDH", 31, 4, np.int64(8)),
+    ("guess", "DLOG", 11, np.int64(1), 0),
+    ("mi", "DLOG", 101, np.int64(10), None),
+]
+# the same attacks with a T or an S that is no non-negative integer
+BAD_SIZES = [
+    ("bsgs", "DLOG", 11, 4, 100.5, "s_bits must be an integer"),
+    ("bsgs", "DLOG", 11, 4.0, None, "t must be an integer"),
+    ("bsgs", "DLOG", 11, -4, None, "t must be non-negative"),
+    ("rho", "DLOG", 101, 8.0, None, "t must be an integer"),
+    ("chains", "DLOG", 11, 4, 100.5, "s_bits must be an integer"),
+    ("daemen", "EM_KR", 64, "8", None, "t must be an integer"),
+    ("sqddh-majority", "SQDDH", 31, 4, 8.5, "s_bits must be an integer"),
+    ("guess", "DLOG", 11, "1", None, "t must be an integer"),
+    ("guess", "DLOG", 11, 1, 0.0, "s_bits must be an integer"),
+    ("mi", "DLOG", 101, 10, 0.0, "s_bits must be an integer"),
+]
+
+
+class TestIntegerSizes:
+    @pytest.mark.parametrize("attack,kind,n,t,s_bits", INTEGER_SIZES, ids=[p[0] for p in INTEGER_SIZES])
+    def test_integer_sizes_build(self, attack, kind, n, t, s_bits):
+        adv = ATTACKS[attack](build_game(kind, n), t, s_bits)
+        assert type(adv.s_bits) is int
+        if not ATTACKS[attack].own_game:  # mi plays its own game, with no budget of its own
+            assert adv.t_budget == t and type(adv.t_budget) is int
+
+    @pytest.mark.parametrize("attack,kind,n,t,s_bits,message", BAD_SIZES,
+                             ids=[f"{p[0]}-t={p[3]!r}-s={p[4]!r}" for p in BAD_SIZES])
+    def test_other_sizes_are_validation_errors(self, attack, kind, n, t, s_bits, message):
+        with pytest.raises(ValidationError, match=f"attack '{attack}': {message}"):
+            ATTACKS[attack](build_game(kind, n), t, s_bits)
+
+
+# (game kind, n, t) of each registered non-adaptive attack
+NON_ADAPTIVE_POINTS = {
+    "bsgs": ("DLOG", 101, 11),
+    "daemen": ("EM_KR", 64, 8),
+    "sqddh-majority": ("SQDDH", 31, 6),
+    "guess": ("DDH", 11, 3),
+}
+
+
+def test_every_non_adaptive_attack_has_a_transcript_point():
+    assert set(NON_ADAPTIVE_POINTS) == {name for name, cls in ATTACKS.items() if not cls.adaptive}
+
+
+@pytest.mark.parametrize("attack", sorted(NON_ADAPTIVE_POINTS))
+def test_transcript_holds_the_answers_decide_received(attack):
+    kind, n, t = NON_ADAPTIVE_POINTS[attack]
+    game = build_game(kind, n)
+    adversary = ATTACKS[attack](game, t)
+    received = []
+
+    def decide(z, inner_answers, outer_answers):
+        received.append((inner_answers, outer_answers))
+        return type(adversary).decide(adversary, z, inner_answers, outer_answers)
+
+    adversary.decide = decide
+    for i in range(20):
+        rng = trial_generator(37, i)
+        tr = play_game(game, adversary, random_sigma(rng, n), game.sample_secret(rng))
+        assert received[-1] == (tr.inner_answers, tr.outer_answers)
+        assert len(tr.outer_answers) == len(adversary.queries)
+    assert len(received) == 20

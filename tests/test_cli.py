@@ -3,11 +3,12 @@ import json
 
 import pytest
 
-from permchal import cli
+from permchal import cli, harness
 from permchal.attacks import ATTACKS, Attack
 from permchal.errors import ContractViolation
 from permchal.games import GameKind, NonAdaptiveAdversary
 from permchal.harness import CSV_COLUMNS, CSV_VERSION_LINE, ExperimentSpec, sweep_grid, write_json
+from permchal.seeding import derive_trial_seed
 
 
 def run_cli(capsys, *argv):
@@ -390,6 +391,27 @@ class TestOtherCommands:
         assert code == 0
         assert "instances=4 guessed=2" in out
         assert "determined_fraction" in out
+
+    def test_mi_runs_are_the_trials_of_a_sweep_row(self, capsys, monkeypatch):
+        # run r of `mi --seed s` is trial r of a sweep mi row with seed s
+        def recorder(seeds, play):
+            def record(n, t, seed, forced_correct=False):
+                seeds.append(seed)
+                return play(n, t, seed, forced_correct)
+            return record
+
+        runs = {}
+        for seed in (0, 1):
+            runs[seed] = []
+            monkeypatch.setattr(cli, "run_mi_game", recorder(runs[seed], cli.run_mi_game))
+            code, _, _ = run_cli(capsys, "mi", "--n", "101", "--t", "10", "--runs", "5", "--seed", str(seed))
+            monkeypatch.undo()
+            assert code == 0
+        trials = []
+        monkeypatch.setattr(harness, "run_mi_game", recorder(trials, harness.run_mi_game))
+        harness.run_trials(ExperimentSpec("dlog", "mi", 101, 10, trials=5, master_seed=1))
+        assert runs[1] == trials == [derive_trial_seed(1, r) for r in range(5)]
+        assert not set(runs[0]) & set(runs[1])  # seeds 0 and 1 share no run
 
     def test_bounds_table(self, capsys):
         code, out, _ = run_cli(

@@ -175,6 +175,19 @@ class TestRunTrials:
             sweep_grid([spec], jobs=jobs)
 
 
+    @pytest.mark.parametrize("jobs", [1.5, "2", None])
+    def test_non_integer_jobs_rejected(self, jobs):
+        spec = ExperimentSpec(game="dlog", attack="bsgs", n=11, t=3, trials=4)
+        with pytest.raises(ValidationError, match="jobs must be an integer"):
+            run_trials(spec, jobs=jobs)
+        with pytest.raises(ValidationError, match="jobs must be an integer"):
+            sweep_grid([spec], jobs=jobs)
+
+    def test_numpy_integer_jobs_accepted(self):
+        spec = ExperimentSpec(game="dlog", attack="bsgs", n=11, t=3, trials=4)
+        assert run_trials(spec, jobs=np.int64(2)).successes == run_trials(spec).successes
+
+
 class _ToyAdaptive(Attack, AdaptiveAdversary):
     """Finds sigma(d) by inner queries 1, 2, ...: an attack added by one class."""
 

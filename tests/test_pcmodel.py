@@ -414,7 +414,47 @@ def _inner_queries(rng, game, count):
     return queries
 
 
+def _read_sigma(sigma, i, inverse=False):
+    """The answer to inner query i read straight off a permutation array."""
+    return int(np.flatnonzero(sigma == i)[0]) + 1 if inverse else int(sigma[i - 1])
+
+
+def _oracle_pair(game, lazy, secret, t_budget):
+    """Two oracles on equal sigmas: an array, or lazy permutations drawn from one seed."""
+    if lazy:
+        return [GameOracle(game, LazyPermutation(game.n, trial_generator(35, 0)), secret, t_budget)
+                for _ in range(2)]
+    sigma = random_sigma(np.random.Generator(np.random.PCG64(35)), game.n)
+    return [GameOracle(game, sigma, secret, t_budget) for _ in range(2)]
+
+
 class TestGameOracle:
+    @pytest.mark.parametrize("lazy", [False, True], ids=["array", "lazy"])
+    @pytest.mark.parametrize("cls", list(GAMES.values()), ids=lambda cls: cls.alias)
+    def test_inner_is_a_plan_of_one(self, cls, lazy):
+        game = cls(8 if cls.kind in (GameKind.EM_KR, GameKind.EM_KR_SINGLE) else 7)
+        rng = np.random.Generator(np.random.PCG64(36))
+        queries = [q if isinstance(q, tuple) else (q, False) for q in _inner_queries(rng, game, 6)]
+        scalar, plan = _oracle_pair(game, lazy, game.sample_secret(rng), len(queries))
+        rejected = [(0, False), (game.n + 1, False), (2.0, False), ("1", False)]
+        if not game.allow_inverse_inner:
+            rejected.append((1, True))
+        for q in queries + [None]:  # None: the budget is spent, so a valid query is one too many
+            left = scalar.remaining
+            for i, inverse in rejected + ([(1, False)] if q is None else []):
+                errors = []
+                for ask in (lambda: scalar.inner(i, inverse), lambda: plan.answer_plan([(i, inverse)], ())):
+                    with pytest.raises((ValidationError, ContractViolation)) as exc:
+                        ask()
+                    errors.append((type(exc.value), str(exc.value)))
+                assert errors[0] == errors[1]
+                assert scalar.remaining == plan.remaining == left
+            if q is not None:
+                assert plan.answer_plan([q], ()) == ((scalar.inner(*q),), ())
+                assert (scalar.inner_log, scalar.remaining) == (plan.inner_log, plan.remaining)
+        assert scalar.remaining == 0 and len(scalar.inner_log) == len(queries)
+        assert scalar.outer_log == plan.outer_log == []
+
     @pytest.mark.parametrize("cls", list(GAMES.values()), ids=lambda cls: cls.alias)
     def test_plan_answers_equal_scalar_queries(self, cls):
         game = cls(8 if cls.kind in (GameKind.EM_KR, GameKind.EM_KR_SINGLE) else 7)
@@ -429,8 +469,8 @@ class TestGameOracle:
             oracle = GameOracle(game, sigma, secret, len(inner) + len(outer))
             got = oracle.answer_plan(inner, outer)
             scalar = GameOracle(game, sigma, secret, None)
-            want = (
-                tuple(scalar.inner(*(q if isinstance(q, tuple) else (q,))) for q in inner),
+            want = (  # inner answers read off sigma: ``inner`` is itself a plan of one
+                tuple(_read_sigma(sigma, *(q if isinstance(q, tuple) else (q,))) for q in inner),
                 tuple(scalar.outer(m) for m in outer),
             )
             assert got == want
@@ -479,6 +519,16 @@ class TestGameOracle:
         oracle.outer((10, 11))
         assert oracle.remaining == 2
         assert GameOracle(game, np.arange(1, 12), 4, None).remaining is None
+
+    @pytest.mark.parametrize("t_budget,message", [(-1, "non-negative"), (2.5, "an integer"), ("3", "an integer")])
+    def test_budget_must_be_a_non_negative_integer(self, t_budget, message):
+        with pytest.raises(ValidationError, match=f"t_budget must be {message}"):
+            GameOracle(build_game("DLOG", 11), np.arange(1, 12), 3, t_budget)
+
+    @pytest.mark.parametrize("t_budget", [None, 0, 2, np.int64(2)], ids=repr)
+    def test_integer_or_unbounded_budget(self, t_budget):
+        oracle = GameOracle(build_game("DLOG", 11), np.arange(1, 12), 3, t_budget)
+        assert oracle.remaining == t_budget and type(oracle.remaining) in (int, type(None))
 
     def test_rejected_queries_leave_the_budget(self):
         dlog = build_game("DLOG", 11)
@@ -1099,6 +1149,25 @@ class TestEvaluateBound:
         kwargs[argument] = bad
         with pytest.raises(ValidationError, match="must be finite"):
             evaluate_bound(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(theorem="T99"), "unknown theorem 'T99'"),
+        (dict(theorem=None), "unknown theorem None"),
+        (dict(n="101"), "must be finite numbers"),
+        (dict(n=None), "must be finite numbers"),
+        (dict(s_bits="1"), "must be finite numbers"),
+        (dict(t=[1]), "must be finite numbers"),
+        (dict(theorem="T41", u="101", max_s=0.1), "must be finite numbers"),
+        (dict(theorem="T41", u=101, max_s="0.1"), "must be finite numbers"),
+    ], ids=lambda v: repr(v) if isinstance(v, dict) else "")
+    def test_bad_inputs_are_validation_errors(self, kwargs, message):
+        args = dict(theorem="T11", n=101, s_bits=1, t=1) | kwargs
+        with pytest.raises(ValidationError, match=message):
+            evaluate_bound(**args)
+
+    def test_numpy_numbers_accepted(self):
+        assert evaluate_bound("T11", np.int64(101), np.float64(1.0), np.int64(1)) == evaluate_bound("T11", 101, 1, 1)
+        assert evaluate_bound(BoundTheorem.T12, 101, 1, 1) == evaluate_bound("T12", 101, 1, 1)
 
     def test_clamped_to_unit_interval(self):
         assert evaluate_bound("T11", 11, 1000, 1000) == 1.0
