@@ -34,7 +34,6 @@ from .shearer import (
     extremal_ratio_search,
     indicator_shearer_gap,
     marginal_distribution,
-    pooled_deviation_gap,
     product_shearer_gap,
     read_k_concentration_gap,
 )

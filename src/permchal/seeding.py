@@ -10,7 +10,9 @@ used by attacks (scalar and numpy-array forms).
 PCG64 seeded with ``derive_trial_seed(master, i)``. ``trial_generators``
 derives a chunk of trials at once and gives the same streams: it runs
 NumPy's SeedSequence hash vectorised over the chunk's trial seeds and
-hands each PCG64 its four precomputed state words.
+hands each PCG64 its four precomputed state words. A chunk of at most
+four trials takes ``trial_generator`` per trial instead, which is faster
+there than the vectorised hash's fixed cost.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import nonnegative_int
 
 _MASK64 = (1 << 64) - 1
+_SCALAR_CHUNK = 4  # the largest chunk that takes trial_generator per trial
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -61,6 +64,8 @@ def trial_generators(master_seed: int, lo: int, hi: int) -> Iterator[np.random.G
     same streams, with the seed hash run once over the chunk."""
     if not 0 <= lo <= hi:
         raise ValueError("trial_generators: need 0 <= lo <= hi")
+    if hi - lo <= _SCALAR_CHUNK:
+        return (trial_generator(master_seed, i) for i in range(lo, hi))
     index = np.arange(lo, hi, dtype=np.uint64)  # derive_trial_seed of each index:
     seeds = splitmix64_array(np.array(master_seed & _MASK64, dtype=np.uint64) ^ index * _GOLDEN_U64)
     return (np.random.Generator(np.random.PCG64(_StateWords(words)))

@@ -19,8 +19,19 @@ The verified inequalities, with Q always uniform over its space:
                    for c = 2 (sharp form) and c = 9 (elementary form)
 * read-k form:     2k * KL(P||Q) >= m * KL(pbar || qbar)
 * indicator form:  9k * KL(P||Q) >= sum_j KL(P_Uj || Q_Uj)   on unit vectors
-* pooled deviation: 4 * sum_i (p_i ln(n p_i) - eps_i)
-                    >= n p' ln(n p') - n eps'
+
+Each divergence against uniform is computed once per distribution: a
+``BijectionDistribution`` keeps a table, filled as it is read, of
+KL(P||Q) and of each marginal's KL, keyed by sorted coordinate tuple.
+A cover's sum adds the table values in cover order from 0.0, so it does
+not depend on what earlier covers or read-k families filled in.
+
+The marginals missing from the table are computed in runs: k
+consecutive sets whose marginals have c bins each are one
+``np.bincount``, with set j's ``_projection`` bins shifted by j*c and
+the mass repeated k times as weights. ``bincount`` adds each weight to
+its bin in index order, so every bin still adds its own set's ranks in
+rank order, and the run equals k separate ``bincount`` calls bit for bit.
 """
 
 from __future__ import annotations
@@ -55,11 +66,14 @@ class BijectionDistribution:
     """Probability mass over all n! bijections of range(n).
 
     ``mass[r]`` is the probability of the bijection whose permutation
-    word has Lehmer rank ``r``.
+    word has Lehmer rank ``r``. ``_kl`` is the divergence table, filled
+    as it is read (the mass is read-only): KL(P||Q) under ``()`` and each
+    marginal's KL under its sorted coordinate tuple.
     """
 
     n: int
     mass: np.ndarray
+    _kl: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_enum_size(self.n, "BijectionDistribution"))
@@ -74,11 +88,16 @@ class BijectionDistribution:
 
 @dataclass(frozen=True, eq=False)
 class CoverFamily:
-    """Subsets U_1..U_m of range(n) with max per-coordinate multiplicity k."""
+    """Subsets U_1..U_m of range(n) with max per-coordinate multiplicity k.
+
+    ``_coords`` holds the non-empty sets as sorted coordinate tuples, in
+    cover order: the keys of their marginals.
+    """
 
     n: int
     sets: tuple
     k: int = field(init=False)
+    _coords: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", nonnegative_int(self.n, "CoverFamily: n"))
@@ -88,15 +107,16 @@ class CoverFamily:
             sets = tuple(frozenset(map(operator.index, s)) for s in self.sets)
         except TypeError:
             raise ValidationError("CoverFamily: sets must hold integer coordinates") from None
-        for s in sets:
-            if any(not (0 <= i < self.n) for i in s):
-                raise ValidationError("CoverFamily: set element out of range(n)")
+        coords = tuple(tuple(sorted(s)) for s in sets if s)
+        if any(c[0] < 0 or c[-1] >= self.n for c in coords):
+            raise ValidationError("CoverFamily: set element out of range(n)")
         multiplicity = [0] * self.n
-        for s in sets:
-            for i in s:
+        for c in coords:
+            for i in c:
                 multiplicity[i] += 1
         object.__setattr__(self, "k", max(multiplicity))
         object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "_coords", coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +184,9 @@ def _injective_labels(n: int, coords: tuple) -> list:
 
 
 def _kl_vs_uniform(mass: np.ndarray, count: int) -> float:
-    pos = mass[mass > 0]
-    return float((pos * np.log(pos * count)).sum()) if pos.size else 0.0
+    # Without zero entries the filter would only copy: the terms are the same.
+    pos = mass if np.count_nonzero(mass) == mass.size else mass[mass > 0]
+    return float(np.add.reduce(pos * np.log(pos * count))) if pos.size else 0.0
 
 
 def _marginal_mass(p: BijectionDistribution, coords: tuple) -> np.ndarray:
@@ -194,62 +215,86 @@ def marginal_distribution(p: BijectionDistribution, u: Iterable) -> FiniteDistri
     return FiniteDistribution(tuple(labels), mass)
 
 
-def _cover_projections(cover: CoverFamily) -> list:
-    """The cover compiled for ``_marginal_kl_sum``: its runs of equal-size marginals.
+@lru_cache(maxsize=None)
+def _run_ranks(n: int, k: int) -> np.ndarray:
+    """The ranks 0..n!-1 repeated k times: the weight order of a k-set run."""
+    ranks = np.tile(np.arange(math.factorial(n)), k)
+    ranks.setflags(write=False)
+    return ranks
 
-    Each run is (count, inverses): the ``_projection`` inverses of
-    consecutive non-empty sets, in cover order, whose marginals all have
-    ``count`` bins.
+
+def _compile_runs(n: int, coord_sets: Sequence) -> list:
+    """Sorted coordinate tuples compiled for ``_marginal_kls``.
+
+    Each run is (count, index, ranks) for consecutive sets whose
+    marginals all have ``count`` bins: ``index`` is their ``_projection``
+    inverses, set j's shifted by j * count, and ``ranks`` the weight order
+    (None for a run of one set, whose weights are the mass itself).
     """
     runs = []
-    for s in cover.sets:
-        if s:
-            inverse, count = _projection(cover.n, tuple(sorted(s)))
-            if runs and runs[-1][0] == count:
-                runs[-1][1].append(inverse)
-            else:
-                runs.append((count, [inverse]))
-    return runs
+    for coords in coord_sets:
+        inverse, count = _projection(n, coords)
+        if runs and runs[-1][0] == count:
+            invs = runs[-1][1]
+            invs.append(inverse + len(invs) * count)
+        else:
+            runs.append((count, [inverse]))
+    return [
+        (count, invs[0], None) if len(invs) == 1 else (count, np.concatenate(invs), _run_ranks(n, len(invs)))
+        for count, invs in runs
+    ]
 
 
-def _marginal_kl_sum(mass: np.ndarray, runs: list) -> float:
-    """sum_j KL(marginal_j || uniform) of a rank-order mass vector.
+def _marginal_kls(mass: np.ndarray, runs: list) -> list:
+    """KL(marginal || uniform) of a rank-order mass vector, per compiled set.
 
-    A fused kernel: per run of k marginals with c bins, one ``bincount``
-    per set fills a (k, c) array and one ``marg * log(marg * c)`` pass
-    gives all its KL terms; a singleton cover is one run. The result is
-    bit-identical to adding up ``_kl_vs_uniform`` set by set, because
-    the summation order is kept:
+    One ``bincount`` per run (exact; see the module docstring). A mass
+    without zero entries then takes one fused ``marg * log(marg * c)``
+    pass per run, and the result equals ``_kl_vs_uniform`` set by set:
 
     * each set's terms are summed by numpy's pairwise sum over that
-      set's bins alone: ``reshape(k, c).sum(axis=1)`` groups like the
-      1-D sum of each row (``np.add.reduceat`` does not, even on 3 bins);
+      set's bins alone: ``np.add.reduce(..., axis=1)`` on the (k, c)
+      array groups like the 1-D sum of each row (``np.add.reduceat``
+      does not, even on 3 bins);
     * ``_kl_vs_uniform`` drops zero bins before its sum, which moves the
       pairwise grouping once a marginal has 8 or more bins. A bin is 0
       only if the mass is 0 on every permutation in it, so a mass with
-      any zero entry takes the set-by-set path instead;
-    * the per-set sums are added as Python floats in cover order,
-      starting from 0.0.
+      any zero entry goes set by set through ``_kl_vs_uniform`` instead.
     """
-    if np.count_nonzero(mass) != mass.size:
-        return sum(
-            (_kl_vs_uniform(np.bincount(inverse, weights=mass, minlength=count), count)
-             for count, inverses in runs for inverse in inverses),
-            0.0,
-        )
-    sums = []
-    for count, inverses in runs:
-        marg = [np.bincount(inverse, weights=mass, minlength=count) for inverse in inverses]
-        marg = np.concatenate(marg) if len(marg) > 1 else marg[0]
-        sums += (marg * np.log(marg * count)).reshape(len(inverses), count).sum(axis=1).tolist()
-    return sum(sums, 0.0)
+    full = np.count_nonzero(mass) == mass.size
+    kls = []
+    for count, index, ranks in runs:
+        # every bin holds at least one rank, so the run has k * count bins
+        marg = np.bincount(index, weights=mass if ranks is None else mass.take(ranks)).reshape(-1, count)
+        if full:
+            kls += np.add.reduce(marg * np.log(marg * count), axis=1).tolist()
+        else:
+            kls += [_kl_vs_uniform(row, count) for row in marg]
+    return kls
+
+
+def _kl_table(p: BijectionDistribution, coord_sets: Iterable = ()) -> dict:
+    """p's divergence table, with KL(P||Q) and the marginal KL of every set in
+    ``coord_sets`` (sorted coordinate tuples) filled in."""
+    table = p._kl
+    if () not in table:
+        table[()] = _kl_vs_uniform(p.mass, p.mass.size)
+    # equal-size sets form one run; the order of the fill moves no value
+    missing = sorted(set(coord_sets).difference(table), key=len)
+    if missing:
+        table.update(zip(missing, _marginal_kls(p.mass, _compile_runs(p.n, missing))))
+    return table
 
 
 def bijection_shearer_terms(p: BijectionDistribution, cover: CoverFamily) -> tuple:
-    """(KL(P||Q), sum_j KL(P_Uj||Q_Uj)) with Q uniform over bijections."""
+    """(KL(P||Q), sum_j KL(P_Uj||Q_Uj)) with Q uniform over bijections.
+
+    The sum adds p's table values in cover order, starting from 0.0.
+    """
     if cover.n != p.n:
         raise ValidationError("cover and distribution sizes differ")
-    return _kl_vs_uniform(p.mass, p.mass.size), _marginal_kl_sum(p.mass, _cover_projections(cover))
+    table = _kl_table(p, cover._coords)
+    return table[()], sum(map(table.__getitem__, cover._coords), 0.0)
 
 
 def bijection_shearer_gap(p: BijectionDistribution, cover: CoverFamily, c: float) -> float:
@@ -273,10 +318,7 @@ def product_shearer_gap(p: JointDistribution, cover: CoverFamily) -> float:
     flat = p.table.reshape(-1)
     kl_full = _kl_vs_uniform(flat, size**n)
     total = 0.0
-    for s in cover.sets:
-        coords = tuple(sorted(s))
-        if not coords:
-            continue
+    for coords in cover._coords:
         marg = p.marginal_table(p.axes[i] for i in coords).reshape(-1)
         total += _kl_vs_uniform(marg, size ** len(coords))
     return cover.k * kl_full - total
@@ -308,12 +350,16 @@ def read_k_concentration_gap(p: BijectionDistribution, fam: ReadKFamily) -> floa
             q_sum += v
     p_bar = min(1.0, max(0.0, p_sum / m))
     q_bar = min(1.0, max(0.0, q_sum / m))
-    return 2.0 * fam.k * _kl_vs_uniform(p.mass, p.mass.size) - m * kl_bernoulli(p_bar, q_bar)
+    return 2.0 * fam.k * _kl_table(p)[()] - m * kl_bernoulli(p_bar, q_bar)
 
 
 def indicator_support(n: int) -> tuple:
     """Canonical support e_0, ..., e_{n-1} of one-hot vectors of length n."""
-    n = nonnegative_int(n, "indicator_support: n")
+    return _indicator_support(nonnegative_int(n, "indicator_support: n"))
+
+
+@lru_cache(maxsize=None)
+def _indicator_support(n: int) -> tuple:
     return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
 
@@ -348,36 +394,6 @@ def indicator_shearer_gap(p: FiniteDistribution, cover: CoverFamily) -> float:
     return 9.0 * cover.k * kl_full - total
 
 
-def pooled_deviation_gap(n: int, probs: Sequence[float]) -> float:
-    """Gap of the pooled-deviation inequality used to bound marginal divergences.
-
-    With eps_i = p_i - 1/n, p' = (1 - sum p_i)/(n - l) and
-    eps' = p' - 1/n, returns
-
-        4 * sum_i (p_i ln(n p_i) - eps_i)  -  (n p' ln(n p') - n eps')
-
-    which is non-negative whenever l <= n/4.
-    """
-    n = nonnegative_int(n, "pooled_deviation_gap: n")
-    probs = _as_float_array(probs, "pooled_deviation_gap")
-    if n < 1 or probs.ndim != 1 or probs.size == 0:
-        raise ValidationError("pooled_deviation_gap: need n >= 1 and a list of at least one entry")
-    probs = probs.tolist()
-    ell = len(probs)
-    if ell > n / 4:
-        raise ValidationError("pooled_deviation_gap: requires l <= n/4")
-    if any(not (0.0 < x < 1.0) for x in probs):
-        raise ValidationError("pooled_deviation_gap: entries must lie in (0, 1)")
-    total = sum(probs)
-    if total > 1.0 + 1e-12:
-        raise ValidationError("pooled_deviation_gap: entries must sum to at most 1")
-    p_rest = (1.0 - total) / (n - ell)
-    eps_rest = p_rest - 1.0 / n
-    lhs = n * p_rest * math.log(n * p_rest) - n * eps_rest if p_rest > 0 else -n * eps_rest
-    rhs = 4.0 * sum(p * math.log(n * p) - (p - 1.0 / n) for p in probs)
-    return rhs - lhs
-
-
 @dataclass(frozen=True)
 class ExtremalSearchResult:
     best_ratio: float
@@ -404,13 +420,13 @@ def extremal_ratio_search(
     trials = nonnegative_int(trials, "extremal_ratio_search: trials")
     rng = seeded_generator(seed, "extremal_ratio_search")
     f = math.factorial(n)
-    compiled = _cover_projections(cover)
+    compiled = _compile_runs(n, cover._coords)
 
     def ratio_of(mass: np.ndarray) -> float:
         kl_full = _kl_vs_uniform(mass, f)
         if cover.k == 0 or kl_full <= 1e-15:
             return 0.0
-        return _marginal_kl_sum(mass, compiled) / (cover.k * kl_full)
+        return sum(_marginal_kls(mass, compiled), 0.0) / (cover.k * kl_full)
 
     best_ratio = 0.0
     best_mass = np.full(f, 1.0 / f)
@@ -458,11 +474,9 @@ def random_bijection_distribution(rng: np.random.Generator, n: int) -> Bijection
 def random_cover(rng: np.random.Generator, n: int, max_sets: int = 6) -> CoverFamily:
     n = nonnegative_int(n, "random_cover: n")
     m = int(rng.integers(1, max_sets + 1))
-    sets = []
-    for _ in range(m):
-        mask = rng.random(n) < 0.5
-        sets.append(frozenset(int(i) for i in np.nonzero(mask)[0]))
-    return CoverFamily(n, tuple(sets))
+    # one (m, n) draw: the same doubles, in the same order, as m draws of n
+    masks = (rng.random((m, n)) < 0.5).tolist()
+    return CoverFamily(n, tuple(frozenset(itertools.compress(range(n), mask)) for mask in masks))
 
 
 def random_read_k_family(rng: np.random.Generator, n: int) -> ReadKFamily:

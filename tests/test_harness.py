@@ -56,7 +56,10 @@ class TestSeedDerivation:
             derive_trial_seed(0, -1)
 
     @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-    @pytest.mark.parametrize("lo,size", [(0, 1), (0, 12), (0, 200), (7, 1), (41, 12), (1000, 200)])
+    @pytest.mark.parametrize("lo,size", [
+        (0, 1), (0, 12), (0, 200), (7, 1), (41, 12), (1000, 200),
+        (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (41, 4), (41, 5),  # either side of the scalar cut
+    ])
     def test_chunk_streams_are_the_trial_streams(self, master, lo, size):
         chunk = list(trial_generators(master, lo, lo + size))
         assert len(chunk) == size

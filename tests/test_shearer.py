@@ -19,8 +19,8 @@ from permchal.shearer import (
     CoverFamily,
     ReadKFamily,
     ReadKFunction,
-    _cover_projections,
-    _marginal_kl_sum,
+    _compile_runs,
+    _marginal_kls,
     _projection,
     bijection_shearer_gap,
     bijection_shearer_terms,
@@ -29,7 +29,6 @@ from permchal.shearer import (
     indicator_shearer_gap,
     indicator_support,
     marginal_distribution,
-    pooled_deviation_gap,
     product_shearer_gap,
     random_bijection_distribution,
     random_cover,
@@ -149,8 +148,9 @@ class TestCoverFamily:
         assert CoverFamily(3, (frozenset(),)).k == 0
 
     def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            CoverFamily(3, (frozenset([3]),))
+        for bad in ([3], [-1], [0, 3], [-1, 2]):
+            with pytest.raises(ValidationError, match="out of range"):
+                CoverFamily(3, (frozenset([1]), frozenset(bad)))
 
     @pytest.mark.parametrize("sets", [(frozenset(["a"]),), ([0, 1.5],), ([None],), (3,)])
     def test_non_integer_elements_are_validation_errors(self, sets):
@@ -175,6 +175,15 @@ class TestCoverFamily:
             random_cover(np.random.Generator(np.random.PCG64(0)), n)
         with pytest.raises(ValidationError, match="indicator_support: n"):
             indicator_support(n)
+
+    @pytest.mark.parametrize("max_sets", [1, 6, 8])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_random_cover_draws_the_row_by_row_sets(self, n, max_sets):
+        rng = np.random.Generator(np.random.PCG64(400 + n))
+        ref = np.random.Generator(np.random.PCG64(400 + n))
+        for _ in range(20):
+            assert random_cover(rng, n, max_sets).sets == _reference_random_cover(ref, n, max_sets)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("n", [2.5, "3", 0, 9, 13])
     @pytest.mark.parametrize("sampler", [random_bijection_distribution, random_read_k_family])
@@ -325,39 +334,6 @@ class TestIndicatorShearerGap:
             indicator_shearer_gap(bad, singleton_cover(3))
 
 
-class TestPooledDeviationGap:
-    def test_uniform_entries_vanish(self):
-        assert pooled_deviation_gap(8, [1 / 8, 1 / 8]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_worked_example(self):
-        assert pooled_deviation_gap(8, [0.3, 0.05]) >= 0.0
-
-    def test_random_vectors(self):
-        rng = np.random.Generator(np.random.PCG64(9))
-        n = 100
-        for _ in range(10000):
-            ell = int(rng.integers(1, 26))
-            raw = rng.random(ell)
-            probs = raw / raw.sum() * rng.uniform(0.05, 1.0)
-            probs = np.clip(probs, 1e-12, 1 - 1e-12)
-            assert pooled_deviation_gap(n, probs) >= -GAP_TOL
-
-    def test_preconditions(self):
-        with pytest.raises(ValidationError):
-            pooled_deviation_gap(8, [0.1, 0.2, 0.3])  # l > n/4
-        with pytest.raises(ValidationError):
-            pooled_deviation_gap(8, [0.0, 0.2])
-        with pytest.raises(ValidationError):
-            pooled_deviation_gap(100, [0.9, 0.2])  # sums above 1
-
-    @pytest.mark.parametrize(
-        "n,probs", [("8", [0.1]), (2.5, [0.1]), (-8, [0.1]), (8, ["a"]), (8, [[0.1]]), (8, 0.1)]
-    )
-    def test_malformed_input_is_a_validation_error(self, n, probs):
-        with pytest.raises(ValidationError, match="pooled_deviation_gap"):
-            pooled_deviation_gap(n, probs)
-
-
 class TestExtremalRatioSearch:
     def test_n2_exact(self):
         res = extremal_ratio_search(2, singleton_cover(2), trials=3, seed=0)
@@ -398,14 +374,24 @@ def _reference_kl_vs_uniform(mass, count):
     return float((pos * np.log(pos * count)).sum()) if pos.size else 0.0
 
 
-def _reference_marginal_kl_sum(mass, cover):
-    """The per-projection marginal KL sum: one bincount and one KL per set."""
+def _reference_marginal_kls(mass, cover):
+    """The per-projection marginal KLs: one bincount and one KL per non-empty set."""
     projections = [_projection(cover.n, tuple(sorted(s))) for s in cover.sets if s]
-    return sum(
-        (_reference_kl_vs_uniform(np.bincount(inverse, weights=mass, minlength=count), count)
-         for inverse, count in projections),
-        0.0,
-    )
+    return [
+        _reference_kl_vs_uniform(np.bincount(inverse, weights=mass, minlength=count), count)
+        for inverse, count in projections
+    ]
+
+
+def _reference_marginal_kl_sum(mass, cover):
+    """The per-projection marginal KL sum, added in cover order from 0.0."""
+    return sum(_reference_marginal_kls(mass, cover), 0.0)
+
+
+def _reference_random_cover(rng, n, max_sets):
+    """random_cover's sets drawn one row at a time."""
+    m = int(rng.integers(1, max_sets + 1))
+    return tuple(frozenset(int(i) for i in np.nonzero(rng.random(n) < 0.5)[0]) for _ in range(m))
 
 
 def _reference_extremal_ratio_search(n, cover, trials, seed):
@@ -449,7 +435,7 @@ def _reference_extremal_ratio_search(n, cover, trials, seed):
 
 
 class TestFusedMarginalKl:
-    """The fused kernel and the search on it against the per-projection code, exactly."""
+    """The run kernel, the divergence table and the search against the per-projection code, exactly."""
 
     @staticmethod
     def _masses(rng, n):
@@ -483,22 +469,41 @@ class TestFusedMarginalKl:
         for _ in range(20):
             masses = self._masses(rng, n)
             for cover in self._covers(rng, n):
-                compiled = _cover_projections(cover)
+                compiled = _compile_runs(n, [tuple(sorted(s)) for s in cover.sets if s])
                 for mass in masses:
-                    assert _marginal_kl_sum(mass, compiled) == _reference_marginal_kl_sum(mass, cover)
+                    assert _marginal_kls(mass, compiled) == _reference_marginal_kls(mass, cover)
                 p = BijectionDistribution(n, masses[0])
                 assert bijection_shearer_terms(p, cover) == (
                     _reference_kl_vs_uniform(p.mass, p.mass.size),
                     _reference_marginal_kl_sum(p.mass, cover),
                 )
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_table_values_do_not_depend_on_what_filled_it(self, n):
+        # one distribution serves 50 covers and then 50 read-k families;
+        # each value equals the same call on a fresh copy
+        rng = np.random.Generator(np.random.PCG64(300 + n))
+        for mass in self._masses(rng, n):
+            p = BijectionDistribution(n, mass)
+            covers = self._covers(rng, n)
+            covers += [random_cover(rng, n, max_sets=8) for _ in range(50 - len(covers))]
+            families = [random_read_k_family(rng, n) for _ in range(50)]
+            shared = [bijection_shearer_terms(p, cover) for cover in covers]
+            shared_rk = [read_k_concentration_gap(p, fam) for fam in families]
+            assert shared == [bijection_shearer_terms(BijectionDistribution(n, mass), c) for c in covers]
+            assert shared_rk == [read_k_concentration_gap(BijectionDistribution(n, mass), f) for f in families]
+            assert shared == [
+                (_reference_kl_vs_uniform(mass, mass.size), _reference_marginal_kl_sum(mass, c)) for c in covers
+            ]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_search_equals_every_point_mass_search(self, n):
         rng = np.random.Generator(np.random.PCG64(200 + n))
         covers = [singleton_cover(n), random_cover(rng, n), random_cover(rng, n), CoverFamily(n, ())]
+        trials = 1 if n == 6 else 2
         for seed, cover in itertools.product(range(3), covers):
-            res = extremal_ratio_search(n, cover, trials=2, seed=seed)
-            ratio, witness, evaluations = _reference_extremal_ratio_search(n, cover, 2, seed)
+            res = extremal_ratio_search(n, cover, trials=trials, seed=seed)
+            ratio, witness, evaluations = _reference_extremal_ratio_search(n, cover, trials, seed)
             assert res.best_ratio == ratio
             assert res.witness.mass.tobytes() == witness.tobytes()
             assert res.evaluations == evaluations
