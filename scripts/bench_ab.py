@@ -25,8 +25,10 @@ tree holds. With
 alternating (pytest's call duration).
 
 The output file holds, per workload and end-to-end metric, each side's
-median, quartiles and range, the change/base ratio of the medians and how
-many pairs the change won; plus the ``src/`` line count of each tree,
+median, quartiles and range, the change/base ratio of the medians, how
+many pairs the change won and a ``verdict`` against the metric's
+``BENCHMARK.json`` bound (``gain``, ``regression``, ``unresolved`` or
+``flat``; see ``verdict``); plus the ``src/`` line count of each tree,
 ``nproc``, each side's spread of the criterion seconds and every raw run.
 """
 
@@ -192,14 +194,43 @@ def _spread(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values), "n": len(values)}
 
 
-def summarise(runs, better: dict) -> dict:
-    """Per workload and metric: each side's spread, the median ratio and the pairs won.
+def verdict(base: dict, change: dict, wins: int, pairs: int, better: str, bound) -> str:
+    """How one metric moved, from each side's ``_spread`` and the pairs won.
+
+    * ``gain``: the change won at least 9 of 10 pairs, and its median is
+      better than the base's by more than the base's quartile distance;
+    * ``regression``: the change's median is worse than the base's by more
+      than ``bound`` (a fraction of the base's median);
+    * ``unresolved``: the base's quartile distance exceeds ``bound`` of its
+      median, and not every change run beats every base run;
+    * ``flat``: none of these. A metric without a bound is a gain or flat.
+    """
+    sign = -1 if better == "lower" else 1
+    spread = base["q3"] - base["q1"]
+    if 10 * wins >= 9 * pairs and sign * (change["median"] - base["median"]) > spread:
+        return "gain"
+    if bound is None or not base["median"]:
+        return "flat"
+    if -sign * (change["median"] - base["median"]) > bound * abs(base["median"]):
+        return "regression"
+    separated = change["max"] < base["min"] if better == "lower" else change["min"] > base["max"]
+    if spread > bound * abs(base["median"]) and not separated:
+        return "unresolved"
+    return "flat"
+
+
+def summarise(runs, declared) -> dict:
+    """Per workload and metric: each side's spread, the median ratio, the pairs
+    won and the ``verdict``.
 
     ``runs`` are records ``{"workload", "pair", "side", "result"}`` where
-    ``result`` is a run's parsed JSON line; ``better`` maps a metric name to
-    "lower" or "higher". A pair is won when the change's value is strictly
-    better than the base's; ties count for neither side.
+    ``result`` is a run's parsed JSON line; ``declared`` is the
+    ``end_to_end`` list of ``BENCHMARK.json``, whose entries give a
+    metric's ``better`` ("lower" or "higher") and ``bound``. A pair is won
+    when the change's value is strictly better than the base's; ties count
+    for neither side.
     """
+    metrics = {m["name"]: m for m in declared}
     table: dict = {}
     for run in runs:
         cell = table.setdefault(run["workload"], {}).setdefault(run["pair"], {})
@@ -215,15 +246,20 @@ def summarise(runs, better: dict) -> dict:
         }
         for name in complete[0]["base"]["metrics"] if complete else ():
             values = {side: [p[side]["metrics"][name]["value"] for p in complete] for side in SIDES}
-            sign = -1 if better.get(name, "lower") == "lower" else 1
+            spec = metrics.get(name, {})
+            better = spec.get("better", "lower")
+            sign = -1 if better == "lower" else 1
             wins = sum(sign * (c - b) > 0 for b, c in zip(values["base"], values["change"]))
-            base_median = statistics.median(values["base"])
+            spreads = {side: _spread(values[side]) for side in SIDES}
+            base_median = spreads["base"]["median"]
             out["metrics"][name] = {
                 "unit": complete[0]["base"]["metrics"][name]["unit"],
-                "better": better.get(name, "lower"),
-                **{side: _spread(values[side]) for side in SIDES},
-                "ratio": statistics.median(values["change"]) / base_median if base_median else None,
+                "better": better,
+                **spreads,
+                "ratio": spreads["change"]["median"] / base_median if base_median else None,
                 "change_wins": wins,
+                "verdict": verdict(spreads["base"], spreads["change"], wins, len(complete), better,
+                                   spec.get("bound")),
             }
         summary[workload] = out
     return summary
@@ -234,7 +270,6 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)
     workloads = select_workloads(declared, args.workloads)
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     seconds = declared["run_seconds"]
     base = resolve_commit(args.base)
     workdir = args.workdir or tempfile.mkdtemp(prefix="bench_ab_")
@@ -258,7 +293,7 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "seconds_per_run": seconds,
             "src_lines": {side: src_lines(trees[side]) for side in SIDES},
-            "workloads": summarise(runs, better),
+            "workloads": summarise(runs, declared["end_to_end"]),
             "criteria_seconds": criteria,
             "runs": runs,
         }

@@ -281,12 +281,19 @@ class PCGame:
 
     @cached_property
     def _secret_columns(self):
-        """``_coefficients`` of every secret, in iter_secrets order."""
+        """``_coefficients`` of every secret, in iter_secrets order.
+
+        The secrets stream into one int64 array, a row per secret (a
+        tuple secret fills its row), with no list of secrets in between.
+        """
         if self.secret_count > MAX_SECRET_ENUMERATION:
             raise ValidationError(
                 f"secret space of size {self.secret_count} is too large to enumerate"
             )
-        return self._coefficients(np.array(list(self.iter_secrets()), dtype=np.int64).T)
+        first = next(self.iter_secrets(), None)
+        dtype = np.dtype((np.int64, len(first))) if isinstance(first, tuple) else np.int64
+        secrets = np.fromiter(self.iter_secrets(), dtype=dtype, count=self.secret_count)
+        return self._coefficients(secrets.T)
 
 
 class _GgmGame(PCGame):

@@ -32,6 +32,16 @@ consecutive sets whose marginals have c bins each are one
 the mass repeated k times as weights. ``bincount`` adds each weight to
 its bin in index order, so every bin still adds its own set's ranks in
 rank order, and the run equals k separate ``bincount`` calls bit for bit.
+The same holds for several mass vectors at once: row r's bins lie past
+row r-1's, so one ``bincount`` per run serves every row.
+
+``extremal_ratio_search`` climbs its restarts in lockstep, up to
+SEARCH_BLOCK of them as the rows of one (rows, n!) array, so each
+hill-climb step is one batched evaluation. Acceptance never moves a
+draw, so each block draws first, restart by restart, in the order of a
+one-at-a-time climb, and every ratio, witness and count equals that
+climb's (see its docstring). The block bounds the memory: any number of
+restarts runs in arrays of at most SEARCH_BLOCK rows.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ from .seeding import seeded_generator
 
 RATIO_SEARCH_MAX_N = 6
 HILL_CLIMB_STEPS = 200
+SEARCH_BLOCK = 64  # restarts climbed in lockstep: bounds the (rows, n!) arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,13 +234,15 @@ def _run_ranks(n: int, k: int) -> np.ndarray:
     return ranks
 
 
-def _compile_runs(n: int, coord_sets: Sequence) -> list:
-    """Sorted coordinate tuples compiled for ``_marginal_kls``.
+def _compile_runs(n: int, coord_sets: Sequence, rows: int = 1) -> list:
+    """Sorted coordinate tuples compiled for ``_marginal_kls`` on (rows, n!) masses.
 
     Each run is (count, index, ranks) for consecutive sets whose
     marginals all have ``count`` bins: ``index`` is their ``_projection``
-    inverses, set j's shifted by j * count, and ``ranks`` the weight order
-    (None for a run of one set, whose weights are the mass itself).
+    inverses, set j's shifted by j * count, repeated per row with row r's
+    shifted by r * k * count, and ``ranks`` the weight order in the
+    flattened masses, row r's ranks shifted by r * n! (None for a run of
+    one set, whose weights are the flattened masses themselves).
     """
     runs = []
     for coords in coord_sets:
@@ -239,37 +252,48 @@ def _compile_runs(n: int, coord_sets: Sequence) -> list:
             invs.append(inverse + len(invs) * count)
         else:
             runs.append((count, [inverse]))
-    return [
-        (count, invs[0], None) if len(invs) == 1 else (count, np.concatenate(invs), _run_ranks(n, len(invs)))
-        for count, invs in runs
-    ]
+    compiled = []
+    for count, invs in runs:
+        k = len(invs)
+        index = invs[0] if k == 1 else np.concatenate(invs)
+        ranks = None if k == 1 else _run_ranks(n, k)
+        if rows > 1:
+            index = (index + (np.arange(rows) * (k * count))[:, None]).reshape(-1)
+            if ranks is not None:
+                ranks = (ranks + (np.arange(rows) * math.factorial(n))[:, None]).reshape(-1)
+        compiled.append((count, index, ranks))
+    return compiled
 
 
-def _marginal_kls(mass: np.ndarray, runs: list) -> list:
-    """KL(marginal || uniform) of a rank-order mass vector, per compiled set.
+def _marginal_kls(flat: np.ndarray, runs: list) -> list:
+    """KL(marginal || uniform) of rank-order mass rows, per compiled run.
 
-    One ``bincount`` per run (exact; see the module docstring). A mass
-    without zero entries then takes one fused ``marg * log(marg * c)``
-    pass per run, and the result equals ``_kl_vs_uniform`` set by set:
+    ``flat`` holds the rows end to end (a C-contiguous (rows, n!) array's
+    ``reshape(-1)``, or one mass vector), and ``runs`` were compiled for
+    its row count. Each run gives an array of its rows * k set KLs, row
+    by row. One ``bincount`` per run (exact; see the module docstring).
+    Masses without zero entries then take one fused
+    ``marg * log(marg * c)`` pass per run, and each value equals
+    ``_kl_vs_uniform`` on its row's marginal:
 
     * each set's terms are summed by numpy's pairwise sum over that
-      set's bins alone: ``np.add.reduce(..., axis=1)`` on the (k, c)
-      array groups like the 1-D sum of each row (``np.add.reduceat``
-      does not, even on 3 bins);
+      set's bins alone: ``np.add.reduce(..., axis=1)`` on the
+      (rows * k, c) array groups like the 1-D sum of each set
+      (``np.add.reduceat`` does not, even on 3 bins);
     * ``_kl_vs_uniform`` drops zero bins before its sum, which moves the
       pairwise grouping once a marginal has 8 or more bins. A bin is 0
-      only if the mass is 0 on every permutation in it, so a mass with
-      any zero entry goes set by set through ``_kl_vs_uniform`` instead.
+      only if the mass is 0 on every permutation in it, so masses with
+      any zero entry go set by set through ``_kl_vs_uniform`` instead.
     """
-    full = np.count_nonzero(mass) == mass.size
+    full = np.count_nonzero(flat) == flat.size
     kls = []
     for count, index, ranks in runs:
-        # every bin holds at least one rank, so the run has k * count bins
-        marg = np.bincount(index, weights=mass if ranks is None else mass.take(ranks)).reshape(-1, count)
+        # every bin holds at least one rank, so the run has rows * k * count bins
+        marg = np.bincount(index, weights=flat if ranks is None else flat.take(ranks)).reshape(-1, count)
         if full:
-            kls += np.add.reduce(marg * np.log(marg * count), axis=1).tolist()
+            kls.append(np.add.reduce(marg * np.log(marg * count), axis=1))
         else:
-            kls += [_kl_vs_uniform(row, count) for row in marg]
+            kls.append(np.array([_kl_vs_uniform(row, count) for row in marg]))
     return kls
 
 
@@ -282,7 +306,10 @@ def _kl_table(p: BijectionDistribution, coord_sets: Iterable = ()) -> dict:
     # equal-size sets form one run; the order of the fill moves no value
     missing = sorted(set(coord_sets).difference(table), key=len)
     if missing:
-        table.update(zip(missing, _marginal_kls(p.mass, _compile_runs(p.n, missing))))
+        values = []
+        for run in _marginal_kls(p.mass, _compile_runs(p.n, missing)):
+            values += run.tolist()
+        table.update(zip(missing, values))
     return table
 
 
@@ -411,6 +438,18 @@ def extremal_ratio_search(
     each hill-climbed for HILL_CLIMB_STEPS multiplicative
     single-coordinate perturbations. P = Q is excluded (the ratio is
     0/0 there); a cover with k = 0 or only empty sets reports ratio 0.
+
+    The restarts run in lockstep, in blocks of at most SEARCH_BLOCK rows.
+    Acceptance never feeds back into the draws, so a block first draws
+    every restart's start and steps, restart by restart, with the scalar
+    calls of a one-at-a-time climb in its order; then each step is one
+    (rows, n!) candidate array and one ratio per row. Every value equals
+    that climb's: a candidate row is scaled at its drawn entry and divided
+    by its own sum (numpy sums each contiguous row pairwise, as it sums a
+    1-D array); ``ratios_of`` evaluates each row as the climb evaluates
+    its one mass; and each row's best is its final state (a row's ratio
+    only rises), so merging the rows in restart order with a strict ">"
+    keeps the climb's first maximum.
     """
     n = check_enum_size(n, "extremal_ratio_search")
     if n > RATIO_SEARCH_MAX_N:
@@ -420,45 +459,64 @@ def extremal_ratio_search(
     trials = nonnegative_int(trials, "extremal_ratio_search: trials")
     rng = seeded_generator(seed, "extremal_ratio_search")
     f = math.factorial(n)
-    compiled = _compile_runs(n, cover._coords)
 
-    def ratio_of(mass: np.ndarray) -> float:
-        kl_full = _kl_vs_uniform(mass, f)
-        if cover.k == 0 or kl_full <= 1e-15:
-            return 0.0
-        return sum(_marginal_kls(mass, compiled), 0.0) / (cover.k * kl_full)
+    def ratios_of(masses: np.ndarray, runs: list) -> np.ndarray:
+        # KL(P||Q) as _kl_vs_uniform computes it: an axis-1 sum adds each
+        # row pairwise, as the 1-D sum does, and rows with a zero entry
+        # take its zero filter. The set KLs add in cover order from 0.0.
+        rows = masses.shape[0]
+        if cover.k == 0:
+            return np.zeros(rows)
+        if np.count_nonzero(masses) == masses.size:
+            kl_full = np.add.reduce(masses * np.log(masses * f), axis=1)
+        else:
+            kl_full = np.array([_kl_vs_uniform(row, f) for row in masses])
+        total = np.zeros(rows)
+        for run in _marginal_kls(masses.reshape(-1), runs):
+            for column in run.reshape(rows, -1).T:
+                total += column
+        # 0.0 where kl_full <= 1e-15; a NaN fails "<=" and divides
+        return np.divide(total, cover.k * kl_full, out=np.zeros(rows), where=~(kl_full <= 1e-15))
+
+    def climbed():
+        """(ratios, masses) of the point mass, then of each block's final states."""
+        # Every point mass has the same ratio: each marginal is one-hot, with
+        # the term 1.0 * log(count) whatever the rank. Rank 0 stands for all
+        # n! of them, since a later one never beats it under the strict ">".
+        point = np.zeros((1, f))
+        point[0, 0] = 1.0
+        yield ratios_of(point, _compile_runs(n, cover._coords)), point
+        for first in range(0, trials, SEARCH_BLOCK):
+            rows = min(SEARCH_BLOCK, trials - first)
+            masses = np.empty((rows, f))
+            # step s perturbs entry positions[s, r] of the flattened masses by factors[s, r]
+            positions = np.empty((HILL_CLIMB_STEPS, rows), dtype=np.int64)
+            factors = np.empty((HILL_CLIMB_STEPS, rows))
+            for r in range(rows):
+                masses[r] = rng.dirichlet(np.ones(f))
+                positions[:, r], factors[:, r] = zip(
+                    *[(rng.integers(f), math.exp(rng.normal(0.0, 0.7))) for _ in range(HILL_CLIMB_STEPS)]
+                )
+            positions += np.arange(rows) * f
+            runs = _compile_runs(n, cover._coords, rows)
+            rho = ratios_of(masses, runs)
+            for step in range(HILL_CLIMB_STEPS):
+                cand = masses.copy()
+                cand.reshape(-1)[positions[step]] *= factors[step]
+                cand /= cand.sum(axis=1, keepdims=True)
+                cand_rho = ratios_of(cand, runs)
+                accept = cand_rho > rho
+                np.copyto(masses, cand, where=accept[:, None])
+                np.copyto(rho, cand_rho, where=accept)
+            yield rho, masses
 
     best_ratio = 0.0
     best_mass = np.full(f, 1.0 / f)
-
-    # Every point mass has the same ratio: each marginal is one-hot, with
-    # the term 1.0 * log(count) whatever the rank. Rank 0 stands for all
-    # n! of them, since a later one never beats it under the strict ">".
-    mass = np.zeros(f)
-    mass[0] = 1.0
-    rho = ratio_of(mass)
-    evaluations = f
-    if rho > best_ratio:
-        best_ratio, best_mass = rho, mass
-
-    for _ in range(trials):
-        mass = rng.dirichlet(np.ones(f))
-        rho = ratio_of(mass)
-        evaluations += 1
-        if rho > best_ratio:
-            best_ratio, best_mass = rho, mass.copy()
-        for _ in range(HILL_CLIMB_STEPS):
-            idx = int(rng.integers(f))
-            factor = math.exp(rng.normal(0.0, 0.7))
-            cand = mass.copy()
-            cand[idx] *= factor
-            cand /= cand.sum()
-            cand_rho = ratio_of(cand)
-            evaluations += 1
-            if cand_rho > rho:
-                mass, rho = cand, cand_rho
-                if rho > best_ratio:
-                    best_ratio, best_mass = rho, mass.copy()
+    for rho, masses in climbed():
+        for r in range(len(rho)):
+            if rho[r] > best_ratio:
+                best_ratio, best_mass = float(rho[r]), masses[r]
+    evaluations = f + trials * (1 + HILL_CLIMB_STEPS)
 
     witness = BijectionDistribution(n, best_mass / best_mass.sum())
     return ExtremalSearchResult(best_ratio, witness, evaluations)

@@ -12,7 +12,10 @@ _spec = importlib.util.spec_from_file_location("bench_ab", _PATH)
 bench_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_ab)
 
-BETTER = {"wall_s": "lower", "ops_per_s": "higher"}
+BETTER = [
+    {"name": "wall_s", "better": "lower", "bound": 0.24},
+    {"name": "ops_per_s", "better": "higher", "bound": 0.24},
+]
 
 
 def _line(wall, ops, failed=0):
@@ -64,6 +67,55 @@ def test_one_pair_has_a_degenerate_spread():
     summary = bench_ab.summarise(_runs([_line(0.5, 2)], [_line(0.4, 3)]), BETTER)
     wall = summary["sweep-bulk"]["metrics"]["wall_s"]
     assert wall["change"]["q1"] == wall["change"]["median"] == wall["change"]["q3"] == 0.4
+
+
+def _verdicts(base_walls, change_walls):
+    """The wall_s and ops_per_s verdicts of canned pairs (ops_per_s = 100 / wall_s)."""
+    base = [_line(w, 100 / w) for w in base_walls]
+    change = [_line(w, 100 / w) for w in change_walls]
+    metrics = bench_ab.summarise(_runs(base, change), BETTER)["sweep-bulk"]["metrics"]
+    return metrics["wall_s"]["verdict"], metrics["ops_per_s"]["verdict"]
+
+
+BASE_WALLS = (0.330, 0.328, 0.335, 0.331, 0.329, 0.333, 0.334, 0.327, 0.332, 0.336)
+
+
+def test_verdict_gain_needs_nine_wins_and_medians_apart_by_the_base_quartiles():
+    faster = [w * 0.85 for w in BASE_WALLS]
+    assert _verdicts(BASE_WALLS, faster) == ("gain", "gain")
+    # 8 of 10 wins is not enough, however far the medians moved
+    eight = faster[:8] + [0.40, 0.40]
+    assert _verdicts(BASE_WALLS, eight) == ("flat", "flat")
+    # 10 of 10 wins by less than the base's quartile distance (about 0.004 s)
+    close = [w - 0.001 for w in BASE_WALLS]
+    assert _verdicts(BASE_WALLS, close) == ("flat", "flat")
+
+
+def test_verdict_regression_is_a_median_worse_than_the_bound():
+    assert _verdicts(BASE_WALLS, [w * 1.3 for w in BASE_WALLS]) == ("regression", "flat")
+    # ops_per_s = 100 / wall_s falls by 1 - 1/1.4 = 29%, past its 24% bound
+    assert _verdicts(BASE_WALLS, [w * 1.4 for w in BASE_WALLS]) == ("regression", "regression")
+    assert _verdicts(BASE_WALLS, [w * 1.2 for w in BASE_WALLS]) == ("flat", "flat")
+
+
+def test_verdict_unresolved_is_a_base_spread_wider_than_the_bound():
+    noisy = (0.20, 0.40, 0.25, 0.45, 0.30, 0.35, 0.22, 0.42, 0.28, 0.38)
+    assert _verdicts(noisy, [w * 1.1 for w in noisy]) == ("unresolved", "unresolved")
+    # 9 wins, the medians 0.115 s apart, within the base's quartile distance
+    assert _verdicts(noisy, [0.21] * 10)[0] == "unresolved"
+    # every change run beats every base run: flat while the medians lie
+    # within the base's quartile distance (0.14 s), a gain beyond it
+    assert _verdicts(noisy, [0.19] * 10)[0] == "flat"
+    assert _verdicts(noisy, [0.10] * 10) == ("gain", "gain")
+
+
+def test_verdict_without_a_bound_is_a_gain_or_flat():
+    base, change = [_line(w, 1) for w in BASE_WALLS], [_line(w * 2, 1) for w in BASE_WALLS]
+    metrics = bench_ab.summarise(_runs(base, change), [])["sweep-bulk"]["metrics"]
+    assert metrics["wall_s"]["verdict"] == "flat" and metrics["wall_s"]["better"] == "lower"
+    assert bench_ab.verdict(
+        {"median": 1.0, "q1": 0.9, "q3": 1.1}, {"median": 0.5}, 10, 10, "lower", None
+    ) == "gain"
 
 
 def _pytest_result(monkeypatch, returncode, stdout, stderr=""):

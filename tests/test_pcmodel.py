@@ -263,6 +263,21 @@ class TestMeasureUniformity:
                     assert got.tolist() == moved.tolist()
 
     @pytest.mark.parametrize(
+        "kind,n",
+        [("DLOG", 101), ("DDH", 13), ("SQDDH", 31), ("EM_KR", 64), ("EM_KR", 256), ("EM_KR_SINGLE", 256)],
+    )
+    def test_secret_columns_equal_the_listed_secrets(self, kind, n):
+        # the streamed secrets against one array built from their list
+        g = build_game(kind, n)
+        listed = g._coefficients(np.array(list(g.iter_secrets()), dtype=np.int64).T)
+        columns = g._secret_columns
+        assert type(columns) is type(listed)
+        pairs = zip(columns, listed, strict=True) if isinstance(listed, tuple) else [(columns, listed)]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
         "kind,n", [("DLOG", 7), ("DDH", 3), ("SQDDH", 5), ("EM_KR", 8), ("EM_KR_SINGLE", 8)]
     )
     def test_batched_translation_matches_scalar(self, kind, n):

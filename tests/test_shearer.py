@@ -15,6 +15,7 @@ from permchal.infotheory import (
 from permchal.permutations import permutation_matrix, permutation_unrank
 from permchal.shearer import (
     HILL_CLIMB_STEPS,
+    SEARCH_BLOCK,
     BijectionDistribution,
     CoverFamily,
     ReadKFamily,
@@ -434,6 +435,14 @@ def _reference_extremal_ratio_search(n, cover, trials, seed):
     return best_ratio, best_mass / best_mass.sum(), evaluations
 
 
+def _kernel_rows(masses, cover):
+    """_marginal_kls on the rows of ``masses``, as one list of set KLs per row."""
+    rows = masses.shape[0]
+    runs = _compile_runs(cover.n, [tuple(sorted(s)) for s in cover.sets if s], rows)
+    kls = [run.reshape(rows, -1) for run in _marginal_kls(masses.reshape(-1), runs)]
+    return [sum((run[r].tolist() for run in kls), []) for r in range(rows)]
+
+
 class TestFusedMarginalKl:
     """The run kernel, the divergence table and the search against the per-projection code, exactly."""
 
@@ -469,14 +478,27 @@ class TestFusedMarginalKl:
         for _ in range(20):
             masses = self._masses(rng, n)
             for cover in self._covers(rng, n):
-                compiled = _compile_runs(n, [tuple(sorted(s)) for s in cover.sets if s])
                 for mass in masses:
-                    assert _marginal_kls(mass, compiled) == _reference_marginal_kls(mass, cover)
+                    assert _kernel_rows(mass[None], cover) == [_reference_marginal_kls(mass, cover)]
                 p = BijectionDistribution(n, masses[0])
                 assert bijection_shearer_terms(p, cover) == (
                     _reference_kl_vs_uniform(p.mass, p.mass.size),
                     _reference_marginal_kl_sum(p.mass, cover),
                 )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_row_kernel_equals_per_projection_kls_row_by_row(self, n):
+        # full-support batches take the fused pass; a batch with any zero
+        # entry goes set by set, its full-support rows included
+        rng = np.random.Generator(np.random.PCG64(400 + n))
+        for _ in range(10):
+            full = [rng.dirichlet(np.ones(math.factorial(n))) for _ in range(int(rng.integers(2, 7)))]
+            mixed = full + self._masses(rng, n)
+            order = rng.permutation(len(mixed))
+            for batch in (full, [mixed[i] for i in order]):
+                masses = np.array(batch)
+                for cover in self._covers(rng, n):
+                    assert _kernel_rows(masses, cover) == [_reference_marginal_kls(m, cover) for m in batch]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_table_values_do_not_depend_on_what_filled_it(self, n):
@@ -496,17 +518,26 @@ class TestFusedMarginalKl:
                 (_reference_kl_vs_uniform(mass, mass.size), _reference_marginal_kl_sum(mass, c)) for c in covers
             ]
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_search_equals_every_point_mass_search(self, n):
+    @staticmethod
+    def _assert_search_equals_reference(n, trials, seeds):
         rng = np.random.Generator(np.random.PCG64(200 + n))
         covers = [singleton_cover(n), random_cover(rng, n), random_cover(rng, n), CoverFamily(n, ())]
-        trials = 1 if n == 6 else 2
-        for seed, cover in itertools.product(range(3), covers):
+        for seed, cover in itertools.product(seeds, covers):
             res = extremal_ratio_search(n, cover, trials=trials, seed=seed)
             ratio, witness, evaluations = _reference_extremal_ratio_search(n, cover, trials, seed)
             assert res.best_ratio == ratio
             assert res.witness.mass.tobytes() == witness.tobytes()
             assert res.evaluations == evaluations
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_search_equals_every_point_mass_search(self, n):
+        # the restarts climb in lockstep; the reference climbs one at a time
+        for trials in (1,) if n == 6 else (2, 3, 10):
+            self._assert_search_equals_reference(n, trials, range(3))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_search_over_two_blocks_equals_every_point_mass_search(self, n):
+        self._assert_search_equals_reference(n, SEARCH_BLOCK + 1, range(1))
 
 
 class TestBruteForceCrossChecks:
