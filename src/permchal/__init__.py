@@ -22,9 +22,8 @@ from .infotheory import (
     JointDistribution,
     kl_bernoulli,
     kl_divergence,
-    mutual_information,
 )
-from .midgame import MidConstraints, mid_simulation_oracle, play_mid_game, trivial_post_reduction
+from .midgame import MidConstraints, mid_simulation_oracle, play_mid_game
 from .shearer import (
     BijectionDistribution,
     CoverFamily,

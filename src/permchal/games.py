@@ -204,7 +204,6 @@ class PCGame:
     alias: str
     theorem: BoundTheorem
     allow_inverse_inner = False
-    has_trivial_post = True
 
     def __init__(self, n: int):
         self.n = nonnegative_int(n, f"{type(self).__name__}: n")
@@ -276,7 +275,8 @@ class PCGame:
 
     def post_process(self, secret, j):
         """The answer to an outer query that read sigma's value j; also
-        elementwise on an integer array of values."""
+        elementwise on an integer array of values. The identity, unless the
+        game overrides it."""
         return j
 
     @cached_property
@@ -432,7 +432,6 @@ class SqddhGame(_DecisionGame):
 class _EmGame(PCGame):
     theorem = BoundTheorem.T13
     allow_inverse_inner = True
-    has_trivial_post = False
 
     def __init__(self, n: int):
         super().__init__(n)
@@ -622,7 +621,10 @@ class GameOracle:
             return (), ()  # nothing to read: a plan of no queries is common (a constant guess)
         game = self._game
         inner = [q if isinstance(q, tuple) else (q, False) for q in inner_queries]
-        for i, inverse in inner:
+        for q in inner:
+            if len(q) != 2:
+                raise ValidationError(f"inner query {q!r} is neither i nor (i, inverse)")
+            i, inverse = q
             if inverse and not game.allow_inverse_inner:
                 raise ContractViolation(f"{game.kind.value} forbids inverse inner queries")
             if not (isinstance(i, _INTEGERS) and 1 <= i <= game.n):

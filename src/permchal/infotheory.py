@@ -69,9 +69,6 @@ class FiniteDistribution:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "mass", arr)
 
-    def __len__(self) -> int:
-        return len(self.support)
-
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
@@ -116,38 +113,16 @@ class JointDistribution:
         drop = tuple(i for i in range(len(self.axes)) if i not in keep)
         return self.table.sum(axis=drop) if drop else self.table
 
-    def marginal(self, names: Iterable) -> "JointDistribution":
-        keep = sorted(self.axis_positions(names))
-        return JointDistribution(
-            tuple(self.axes[i] for i in keep),
-            tuple(self.supports[i] for i in keep),
-            self.marginal_table(tuple(self.axes[i] for i in keep)),
-        )
-
-
-def _kl_of_masses(p: np.ndarray, q: np.ndarray) -> float:
-    sel = p > 0
-    if np.any(q[sel] == 0):
-        return INFINITE
-    pp, qq = p[sel], q[sel]
-    return float((pp * np.log(pp / qq)).sum())
-
-
-def _target_given_matrix(joint: JointDistribution, target: tuple, given: tuple) -> np.ndarray:
-    """Marginal over target+given reshaped to (|target cells|, |given cells|)."""
-    sub = joint.marginal(target + given)
-    tpos = sub.axis_positions(target)
-    gpos = sub.axis_positions(given)
-    moved = np.moveaxis(sub.table, tpos + gpos, range(len(tpos) + len(gpos)))
-    tsize = int(np.prod([len(sub.supports[i]) for i in tpos]))
-    return moved.reshape(tsize, -1)
-
 
 def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
     """KL(p || q) over an aligned support; INFINITE on support violation."""
     if p.support != q.support:
         raise ValidationError("kl_divergence: mismatched support orderings")
-    return _kl_of_masses(p.mass, q.mass)
+    sel = p.mass > 0
+    if np.any(q.mass[sel] == 0):
+        return INFINITE
+    pp, qq = p.mass[sel], q.mass[sel]
+    return float((pp * np.log(pp / qq)).sum())
 
 
 def kl_bernoulli(p: float, q: float) -> float:
@@ -165,17 +140,3 @@ def kl_bernoulli(p: float, q: float) -> float:
         total += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
     return total
 
-
-def mutual_information(joint: JointDistribution, a: Iterable, b: Iterable) -> float:
-    """I(a; b) = KL(P_{a,b} || P_a x P_b)."""
-    a = tuple(a)
-    b = tuple(b)
-    if set(a) & set(b):
-        raise ValidationError("mutual_information: axis sets overlap")
-    if not a or not b:
-        raise ValidationError("mutual_information: empty axis set")
-    block = _target_given_matrix(joint, a, b)  # rows: a-cells, cols: b-cells
-    p_a = block.sum(axis=1)
-    p_b = block.sum(axis=0)
-    product = np.outer(p_a, p_b)
-    return _kl_of_masses(block.reshape(-1), product.reshape(-1))

@@ -50,9 +50,6 @@ class MidConstraints:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
 
-    def __len__(self) -> int:
-        return len(self.inputs)
-
     def validate_range(self, n: int) -> None:
         if any(not (1 <= v <= n) for v in self.inputs + self.outputs):
             raise ValidationError("MidConstraints: value out of range [1, n]")
@@ -62,16 +59,11 @@ def sample_constrained_permutation(
     n: int, constraints: MidConstraints, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform permutation of [n] subject to sigma(I_j) = O_j."""
-    return _pinned_permutation(n, constraints, rng.permutation)
-
-
-def _pinned_permutation(n: int, constraints: MidConstraints, arrange) -> np.ndarray:
-    """sigma(I_j) = O_j, and ``arrange(free values)`` at the free positions, both sorted."""
     n = nonnegative_int(n, "constrained permutation: n")
     constraints.validate_range(n)
     sigma = np.zeros(n, dtype=np.int64)
     sigma[np.array(constraints.inputs, dtype=np.int64) - 1] = constraints.outputs
-    sigma[_complement(n, constraints.inputs) - 1] = arrange(_complement(n, constraints.outputs))
+    sigma[_complement(n, constraints.inputs) - 1] = rng.permutation(_complement(n, constraints.outputs))
     return sigma
 
 
@@ -155,21 +147,3 @@ def mid_simulation_oracle(
         responses.append(game.post_process(secret, v))
     return SimulationRun(tuple(responses), w1, w2)
 
-
-def trivial_post_reduction(
-    game: PCGame, constraints: MidConstraints, observed_outputs: Sequence[int]
-) -> tuple:
-    """Relabeling permutation pi with pi(observed_i) = pinned output_i.
-
-    Only defined for games whose post-processing is the identity. The
-    remaining points are matched order-preservingly between the two
-    complements, so the construction is deterministic in its inputs.
-    pi is pinned as ``MidConstraints(observed_outputs, constraints.outputs)``,
-    so bad observed outputs fail as the inputs of those constraints.
-    Returns pi as a tuple with pi(x) = result[x - 1].
-    """
-    if not game.has_trivial_post:
-        raise ValidationError("trivial_post_reduction requires an identity post-processing")
-    constraints.validate_range(game.n)
-    relabel = MidConstraints(observed_outputs, constraints.outputs)
-    return tuple(_pinned_permutation(game.n, relabel, lambda free: free).tolist())

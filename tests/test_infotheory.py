@@ -11,18 +11,10 @@ from permchal.infotheory import (
     JointDistribution,
     kl_bernoulli,
     kl_divergence,
-    mutual_information,
 )
 from permchal.shearer import BijectionDistribution
 
 LN2 = math.log(2.0)
-
-
-def random_joint(rng, shape, axes=None):
-    axes = axes or tuple(f"a{i}" for i in range(len(shape)))
-    table = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
-    supports = tuple(tuple(range(s)) for s in shape)
-    return JointDistribution(axes, supports, table)
 
 
 class TestFiniteDistribution:
@@ -208,31 +200,3 @@ class TestKlBernoulli:
             rhs = kl_bernoulli(min(1.0, float(p_mass @ f)), min(1.0, float(f.mean())))
             assert lhs >= rhs - IDENTITY_TOL
 
-
-class TestMutualInformation:
-    def test_independent(self):
-        j = JointDistribution(("A", "B"), ((0, 1), (0, 1)), np.full((2, 2), 0.25))
-        assert mutual_information(j, ("A",), ("B",)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_deterministic_copy(self):
-        n = 4
-        table = np.zeros((n, n))
-        np.fill_diagonal(table, 1.0 / n)
-        j = JointDistribution(("A", "B"), (tuple(range(n)), tuple(range(n))), table)
-        assert mutual_information(j, ("A",), ("B",)) == pytest.approx(math.log(n), abs=1e-12)
-
-    def test_three_expressions_agree(self):
-        rng = np.random.Generator(np.random.PCG64(12))
-        for _ in range(200):
-            j = random_joint(rng, (3, 3))
-            mi = mutual_information(j, ("a0",), ("a1",))
-            h_a, h_b, h_ab = (-float(np.sum(m * np.log(m))) for m in (
-                j.table.sum(axis=1), j.table.sum(axis=0), j.table.reshape(-1)
-            ))
-            assert mi == pytest.approx(h_a + h_b - h_ab, abs=IDENTITY_TOL)
-            assert mi <= h_a + IDENTITY_TOL
-
-    def test_overlap_rejected(self):
-        j = JointDistribution(("A", "B"), ((0, 1), (0, 1)), np.full((2, 2), 0.25))
-        with pytest.raises(ValidationError):
-            mutual_information(j, ("A",), ("A",))

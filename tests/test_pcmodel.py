@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +29,6 @@ from permchal.midgame import (
     mid_simulation_oracle,
     play_mid_game,
     sample_constrained_permutation,
-    trivial_post_reduction,
 )
 from permchal.seeding import derive_trial_seed, trial_generator
 
@@ -505,6 +503,16 @@ class TestGameOracle:
         assert answers == tuple(scalar.outer(m) for m in queries)
         assert answers[3] == sigma[secret - 1]
 
+    @pytest.mark.parametrize("query", [(1,), (), (1, False, 3)], ids=["short", "empty", "long"])
+    def test_malformed_inner_query_rejected_before_charging(self, query):
+        game = build_game("EM_KR", 8)
+        sigma = random_sigma(np.random.Generator(np.random.PCG64(34)), 8)
+        oracle = GameOracle(game, sigma, (3, 5), 4)
+        with pytest.raises(ValidationError, match="inner query"):
+            oracle.answer_plan([1, query], [2])
+        assert oracle.remaining == 4
+        assert oracle.inner_log == oracle.outer_log == []
+
     @pytest.mark.parametrize("t", [0, 1, 4])
     def test_exactly_t_queries_pass(self, t):
         game = build_game("EM_KR", 8)
@@ -802,6 +810,23 @@ class TestMidGame:
         with pytest.raises(ValidationError, match="constrained permutation: n"):
             sample_constrained_permutation(n, MidConstraints((1,), (2,)), rng)
 
+    @pytest.mark.parametrize(
+        "pins",
+        [((0,), (2,)), ((2,), (0,)), ((12,), (2,)), ((2,), (12,))],
+        ids=["input-0", "output-0", "input-n+1", "output-n+1"],
+    )
+    def test_pins_out_of_range_rejected(self, pins):
+        # a pin at 0 would otherwise write sigma[n - 1]
+        g = build_game("DLOG", 11)
+        constraints = MidConstraints(*pins)
+        rng = np.random.Generator(np.random.PCG64(0))
+        with pytest.raises(ValidationError, match="out of range"):
+            sample_constrained_permutation(g.n, constraints, rng)
+        with pytest.raises(ValidationError, match="out of range"):
+            play_mid_game(g, constraints, [(1, 3)], lambda a: 1, 3, 0)
+        with pytest.raises(ValidationError, match="out of range"):
+            mid_simulation_oracle(g, constraints, [(1, 3)], 3, 0)
+
     def test_full_constraints_determine_sigma(self):
         g = build_game("DLOG", 5)
         perm = (3, 1, 4, 5, 2)
@@ -858,18 +883,6 @@ def _setdiff1d_constrained_permutation(n, constraints, rng):
     return sigma
 
 
-def _sorted_set_post_reduction(n, constraints, observed):
-    """pi matched through sorted(set(...)) complements: the reference construction."""
-    pi = [0] * n
-    for src, dst in zip(observed, constraints.outputs):
-        pi[src - 1] = dst
-    rest_src = sorted(set(range(1, n + 1)) - set(observed))
-    rest_dst = sorted(set(range(1, n + 1)) - set(constraints.outputs))
-    for src, dst in zip(rest_src, rest_dst):
-        pi[src - 1] = dst
-    return tuple(pi)
-
-
 def _random_pins(rng, n, t1):
     ins = [int(x) + 1 for x in rng.choice(n, size=t1, replace=False)]
     outs = [int(x) + 1 for x in rng.choice(n, size=t1, replace=False)]
@@ -884,17 +897,6 @@ class TestComplementCrossCheck:
             got = sample_constrained_permutation(n, constraints, trial_generator(61, seed))
             want = _setdiff1d_constrained_permutation(n, constraints, trial_generator(61, seed))
             assert got.dtype == want.dtype and np.array_equal(got, want)
-
-    def test_post_reduction_matches_sorted_set(self, n, t1):
-        # no game is defined at n = 1; the reduction reads only n and has_trivial_post
-        g = build_game("DLOG", n) if n > 1 else SimpleNamespace(n=1, has_trivial_post=True)
-        for seed in range(8):
-            rng = trial_generator(62, seed)
-            constraints = _random_pins(rng, n, t1)
-            observed = tuple(int(x) + 1 for x in rng.choice(n, size=t1, replace=False))
-            got = trivial_post_reduction(g, constraints, observed)
-            assert got == _sorted_set_post_reduction(n, constraints, observed)
-            assert all(type(v) is int for v in got)
 
 
 def _mid_transcript_digest():
@@ -1042,55 +1044,6 @@ class TestMidSimulationOracle:
             stat += (counts.get(cat, 0) - expected) ** 2 / expected
         threshold = chi2.ppf(1 - 1e-3, df=len(exact) - 1)
         assert stat <= threshold
-
-
-class TestTrivialPostReduction:
-    def test_identity_case(self):
-        g = build_game("DLOG", 5)
-        pi = trivial_post_reduction(g, MidConstraints((1, 3), (2, 4)), (2, 4))
-        assert pi[1] == 2 and pi[3] == 4
-        assert sorted(pi) == [1, 2, 3, 4, 5]
-
-    def test_worked_example(self):
-        g = build_game("DLOG", 5)
-        pi = trivial_post_reduction(g, MidConstraints((1,), (2,)), (4,))
-        assert pi == (1, 3, 4, 2, 5)
-
-    def test_empty_constraints_identity(self):
-        g = build_game("DLOG", 5)
-        assert trivial_post_reduction(g, MidConstraints((), ()), ()) == (1, 2, 3, 4, 5)
-
-    def test_relabeled_run_matches_pinned_run(self):
-        # pi(sigma(.)) is uniform under the pins and answers stay consistent
-        g = build_game("DLOG", 7)
-        rng = np.random.Generator(np.random.PCG64(3))
-        constraints = MidConstraints((2, 5), (7, 1))
-        for _ in range(200):
-            sigma = random_sigma(rng, 7)
-            observed = tuple(int(sigma[i - 1]) for i in constraints.inputs)
-            pi = trivial_post_reduction(g, constraints, observed)
-            composed = [pi[int(sigma[i]) - 1] for i in range(7)]
-            for i, o in zip(constraints.inputs, constraints.outputs):
-                assert composed[i - 1] == o
-            assert sorted(composed) == list(range(1, 8))
-
-    def test_errors(self):
-        g = build_game("EM_KR", 8)
-        with pytest.raises(ValidationError):
-            trivial_post_reduction(g, MidConstraints((1,), (2,)), (3,))
-        g2 = build_game("DLOG", 5)
-        with pytest.raises(ValidationError):
-            trivial_post_reduction(g2, MidConstraints((1, 2), (2, 3)), (4,))
-        with pytest.raises(ValidationError):
-            trivial_post_reduction(g2, MidConstraints((1, 2), (2, 3)), (4, 4))
-        with pytest.raises(ValidationError):
-            trivial_post_reduction(g2, MidConstraints((1, 2), (2, 3)), (4, 6))
-
-    @pytest.mark.parametrize("bad", [1.5, "a", None])
-    def test_non_integer_observed_outputs_rejected(self, bad):
-        g = build_game("DLOG", 5)
-        with pytest.raises(ValidationError, match="integers"):
-            trivial_post_reduction(g, MidConstraints((1, 2), (2, 3)), (4, bad))
 
 
 class TestEvaluateBound:

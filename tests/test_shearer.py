@@ -522,6 +522,8 @@ class TestFusedMarginalKl:
     def _assert_search_equals_reference(n, trials, seeds):
         rng = np.random.Generator(np.random.PCG64(200 + n))
         covers = [singleton_cover(n), random_cover(rng, n), random_cover(rng, n), CoverFamily(n, ())]
+        if n == 5:  # the point mass wins on the covers above; a climbed restart wins on this one
+            covers.append(CoverFamily(5, ({2}, {0, 1, 2, 4})))
         for seed, cover in itertools.product(seeds, covers):
             res = extremal_ratio_search(n, cover, trials=trials, seed=seed)
             ratio, witness, evaluations = _reference_extremal_ratio_search(n, cover, trials, seed)
