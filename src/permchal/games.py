@@ -609,13 +609,13 @@ class GameOracle:
     def answer_plan(self, inner_queries, outer_queries) -> tuple:
         """The inner and outer answers to a whole non-adaptive plan.
 
-        An inner query is i or (i, inverse). Every query is validated, the
-        outer ones as by ``outer``, then the plan is charged at once, then
-        answered: the inner queries in order, the outer ones by one gather
-        ``sigma.take`` of their translated slots and one ``post_process``
-        of the values read. On an array sigma the answers are those of
-        ``inner`` and ``outer`` one after another; on a ``LazyPermutation``
-        they have the same law.
+        An inner query is i or (i, inverse), inverse a (numpy) bool. Every
+        query is validated, the outer ones as by ``outer``, then the plan is
+        charged at once, then answered: the inner queries in order, the
+        outer ones by one gather ``sigma.take`` of their translated slots
+        and one ``post_process`` of the values read. On an array sigma the
+        answers are those of ``inner`` and ``outer`` one after another; on
+        a ``LazyPermutation`` they have the same law.
         """
         if not (len(inner_queries) or len(outer_queries)):
             return (), ()  # nothing to read: a plan of no queries is common (a constant guess)
@@ -625,6 +625,8 @@ class GameOracle:
             if len(q) != 2:
                 raise ValidationError(f"inner query {q!r} is neither i nor (i, inverse)")
             i, inverse = q
+            if not isinstance(inverse, (bool, np.bool_)):
+                raise ValidationError(f"inner query {q!r}: the inverse flag must be a bool")
             if inverse and not game.allow_inverse_inner:
                 raise ContractViolation(f"{game.kind.value} forbids inverse inner queries")
             if not (isinstance(i, _INTEGERS) and 1 <= i <= game.n):

@@ -11,13 +11,15 @@ Conventions:
 * A KL divergence whose first argument puts mass outside the support of
   the second is ``INFINITE`` (``float('inf')``), a distinguished value
   rather than an exception; it compares larger than any finite real.
+
+Each check runs once, where the data enters: a constructor checks a
+frozen copy of the mass, and what reads it later does not check again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -45,9 +47,9 @@ def _as_mass_array(mass, what: str, shape: tuple) -> np.ndarray:
     arr = _as_float_array(mass, what)
     if arr.shape != shape:
         raise ValidationError(f"{what}: mass has shape {arr.shape}, expected {shape}")
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValidationError(f"{what}: negative mass")
-    total = float(arr.sum())
+    total = float(np.add.reduce(arr, axis=None))
     if not abs(total - 1.0) <= MASS_TOL:
         raise ValidationError(f"{what}: masses sum to {total!r}, not 1")
     arr.setflags(write=False)
@@ -97,21 +99,6 @@ class JointDistribution:
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "supports", supports)
         object.__setattr__(self, "table", table)
-
-    def axis_positions(self, names: Iterable) -> tuple:
-        names = tuple(names)
-        unknown = [n for n in names if n not in self.axes]
-        if unknown:
-            raise ValidationError(f"unknown axes {unknown!r}")
-        if len(set(names)) != len(names):
-            raise ValidationError("repeated axis names")
-        return tuple(self.axes.index(n) for n in names)
-
-    def marginal_table(self, names: Iterable) -> np.ndarray:
-        """Project onto ``names``, axes ordered as in this joint."""
-        keep = sorted(self.axis_positions(names))
-        drop = tuple(i for i in range(len(self.axes)) if i not in keep)
-        return self.table.sum(axis=drop) if drop else self.table
 
 
 def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:

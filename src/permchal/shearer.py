@@ -35,6 +35,12 @@ rank order, and the run equals k separate ``bincount`` calls bit for bit.
 The same holds for several mass vectors at once: row r's bins lie past
 row r-1's, so one ``bincount`` per run serves every row.
 
+Each check runs once, where the data enters: a constructor validates
+its input and keeps what the gaps read (sorted coordinate tuples
+``_coords``, the multiplicity k of ``_multiplicity``), and a gap checks
+only what ties its arguments together. Loops read Python floats, and
+small arrays go through ufunc methods, not numpy's Python wrappers.
+
 ``extremal_ratio_search`` climbs its restarts in lockstep, up to
 SEARCH_BLOCK of them as the rows of one (rows, n!) array, so each
 hill-climb step is one batched evaluation. Acceptance never moves a
@@ -97,6 +103,17 @@ class BijectionDistribution:
         return cls(n, np.full(f, 1.0 / f))
 
 
+def _multiplicity(n: int, coords: Iterable, what: str) -> int:
+    """k: the most of the sorted tuples ``coords`` that share one coordinate in range(n)."""
+    multiplicity = [0] * n
+    for c in coords:
+        if c and (c[0] < 0 or c[-1] >= n):
+            raise ValidationError(f"{what} out of range(n)")
+        for i in c:
+            multiplicity[i] += 1
+    return max(multiplicity)
+
+
 @dataclass(frozen=True, eq=False)
 class CoverFamily:
     """Subsets U_1..U_m of range(n) with max per-coordinate multiplicity k.
@@ -119,13 +136,7 @@ class CoverFamily:
         except TypeError:
             raise ValidationError("CoverFamily: sets must hold integer coordinates") from None
         coords = tuple(tuple(sorted(s)) for s in sets if s)
-        if any(c[0] < 0 or c[-1] >= self.n for c in coords):
-            raise ValidationError("CoverFamily: set element out of range(n)")
-        multiplicity = [0] * self.n
-        for c in coords:
-            for i in c:
-                multiplicity[i] += 1
-        object.__setattr__(self, "k", max(multiplicity))
+        object.__setattr__(self, "k", _multiplicity(self.n, coords, "CoverFamily: set element"))
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "_coords", coords)
 
@@ -135,23 +146,30 @@ class ReadKFunction:
     """One member of a read-k family: depends only on ``dependencies``.
 
     ``values[i]`` in [0, 1] is the value on the i-th injective assignment
-    of the sorted dependencies, that is on
+    of the sorted dependencies ``_coords``, that is on
     ``marginal_distribution(p, dependencies).support[i]`` (``_projection``
     bin order). Values off the bijections are never queried.
     """
 
     dependencies: frozenset
     values: np.ndarray
+    _coords: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dependencies", frozenset(self.dependencies))
+        try:
+            dependencies = frozenset(map(operator.index, self.dependencies))
+        except TypeError:
+            raise ValidationError("ReadKFunction: dependencies must be integer coordinates") from None
         values = _as_float_array(self.values, "ReadKFunction")
         if values.ndim != 1:
             raise ValidationError("ReadKFunction: values must be one-dimensional")
-        if not np.all((values >= 0.0) & (values <= 1.0)):
+        # a NaN fails both comparisons; empty values pass
+        if not (values.min(initial=0.0) >= 0.0 and values.max(initial=1.0) <= 1.0):
             raise ValidationError("ReadKFunction: values must lie in [0, 1]")
         values.setflags(write=False)
+        object.__setattr__(self, "dependencies", dependencies)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_coords", tuple(sorted(dependencies)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,9 +183,10 @@ class ReadKFamily:
     def __post_init__(self):
         object.__setattr__(self, "n", check_enum_size(self.n, "ReadKFamily"))
         functions = tuple(self.functions)
-        object.__setattr__(self, "k", CoverFamily(self.n, tuple(f.dependencies for f in functions)).k)
+        k = _multiplicity(self.n, [f._coords for f in functions], "ReadKFamily: dependency")
+        object.__setattr__(self, "k", k)
         for f in functions:
-            if f.values.size != math.perm(self.n, len(f.dependencies)):
+            if f.values.size != math.perm(self.n, len(f._coords)):
                 raise ValidationError("ReadKFamily: a function needs perm(n, |dependencies|) values")
         object.__setattr__(self, "functions", functions)
 
@@ -187,11 +206,6 @@ def _projection(n: int, coords: tuple) -> tuple:
         codes = codes * n + mat[:, c]
     uniq, inverse = np.unique(codes, return_inverse=True)
     return inverse, len(uniq)
-
-
-def _injective_labels(n: int, coords: tuple) -> list:
-    """Injective value tuples in the order matching _projection bins."""
-    return list(itertools.permutations(range(n), len(coords)))
 
 
 def _kl_vs_uniform(mass: np.ndarray, count: int) -> float:
@@ -216,14 +230,12 @@ def marginal_distribution(p: BijectionDistribution, u: Iterable) -> FiniteDistri
         coords = tuple(sorted(set(map(operator.index, u))))
     except TypeError:
         raise ValidationError("marginal_distribution: coordinates must be integers") from None
-    if any(not (0 <= i < p.n) for i in coords):
-        raise ValidationError("marginal_distribution: coordinate out of range(n)")
+    _multiplicity(p.n, (coords,), "marginal_distribution: coordinate")  # the range check
     if not coords:
         return FiniteDistribution(((),), np.array([1.0]))
-    mass = _marginal_mass(p, coords)
-    labels = _injective_labels(p.n, coords)
-    # Aggregated masses of a valid distribution stay normalized.
-    return FiniteDistribution(tuple(labels), mass)
+    # the injective value tuples in lexicographic order, as _projection numbers its
+    # bins; aggregated masses of a valid distribution stay normalized
+    return FiniteDistribution(tuple(itertools.permutations(range(p.n), len(coords))), _marginal_mass(p, coords))
 
 
 @lru_cache(maxsize=None)
@@ -346,7 +358,7 @@ def product_shearer_gap(p: JointDistribution, cover: CoverFamily) -> float:
     kl_full = _kl_vs_uniform(flat, size**n)
     total = 0.0
     for coords in cover._coords:
-        marg = p.marginal_table(p.axes[i] for i in coords).reshape(-1)
+        marg = np.add.reduce(p.table, axis=tuple(i for i in range(n) if i not in coords)).reshape(-1)
         total += _kl_vs_uniform(marg, size ** len(coords))
     return cover.k * kl_full - total
 
@@ -366,11 +378,10 @@ def read_k_concentration_gap(p: BijectionDistribution, fam: ReadKFamily) -> floa
     p_sum = 0.0
     q_sum = 0.0
     for f in fam.functions:
-        coords = tuple(sorted(f.dependencies))
+        coords = f._coords
         if coords:
-            mass = _marginal_mass(p, coords)
-            p_sum += float(mass @ f.values)
-            q_sum += float(f.values.mean())
+            p_sum += float(_marginal_mass(p, coords) @ f.values)
+            q_sum += float(np.add.reduce(f.values) / f.values.size)  # what .mean() computes
         else:
             v = float(f.values[0])
             p_sum += v
@@ -399,8 +410,8 @@ def indicator_shearer_gap(p: FiniteDistribution, cover: CoverFamily) -> float:
     n = cover.n
     if set(p.support) != set(indicator_support(n)):
         raise ValidationError("indicator_shearer_gap: support must be the n one-hot vectors")
-    probs = np.empty(n)
-    for lbl, mass in zip(p.support, p.mass):
+    probs = [0.0] * n
+    for lbl, mass in zip(p.support, p.mass.tolist()):
         probs[lbl.index(1)] = mass
 
     def kl_term(q: float) -> float:
@@ -543,7 +554,6 @@ def random_read_k_family(rng: np.random.Generator, n: int) -> ReadKFamily:
     m = int(rng.integers(1, 5))
     functions = []
     for _ in range(m):
-        mask = rng.random(n) < 0.5
-        dep = frozenset(int(i) for i in np.nonzero(mask)[0])
+        dep = tuple(itertools.compress(range(n), (rng.random(n) < 0.5).tolist()))
         functions.append(ReadKFunction(dep, rng.random(math.perm(n, len(dep)))))
     return ReadKFamily(n, tuple(functions))

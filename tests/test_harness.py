@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -9,7 +10,7 @@ import signal
 import numpy as np
 import pytest
 
-from permchal import harness
+from permchal import cli, harness
 from permchal.attacks import ATTACKS, Attack
 from permchal.errors import ValidationError
 from permchal.games import AdaptiveAdversary, GameKind
@@ -539,3 +540,15 @@ class TestVerifyInequalities:
         summary = verify_inequalities(4, 300, seed=2)
         assert summary.all_gaps_nonnegative()
         assert summary.extremal_ratio >= 4 / 3 - 0.01
+
+    # SHA-256 of the ``permchal shearer --format json`` output; n = 4 is pinned in bench/golden.json
+    @pytest.mark.parametrize("n,trials,seed,digest", [
+        (2, 50, 0, "c24ba6b0a96b8cd26dc56e3f5f33f9b59104de81d8e6c439d824cb0b5c18eeb4"),
+        (3, 100, 1, "d2f9424a4b7f1feb5a7da4d76fa5f3096162a1b568b92fcdb79913119a62f969"),
+        (5, 20, 3, "b3437923f6b699e40e8d199d8f4f7cf8dfd7cd96f680ee626fbc6036f3ef9a1d"),
+        (6, 3, 2, "5e62c35b545cb9f66452ddfd162728da1ab366f48fd1aee6390d29ebc650ab94"),
+    ])
+    def test_summary_digest_is_pinned(self, capsys, n, trials, seed, digest):
+        argv = ["shearer", "--n", str(n), "--trials", str(trials), "--seed", str(seed), "--format", "json"]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -513,6 +513,34 @@ class TestGameOracle:
         assert oracle.remaining == 4
         assert oracle.inner_log == oracle.outer_log == []
 
+    @pytest.mark.parametrize("flag", ["no", 2.5, 1, None, 1.0, np.int64(1), (True,)], ids=repr)
+    @pytest.mark.parametrize("kind,n", [("EM_KR", 8), ("DLOG", 7)])
+    def test_inverse_flag_that_is_not_a_bool_is_rejected_before_charging(self, kind, n, flag):
+        game = build_game(kind, n)
+        rng = np.random.Generator(np.random.PCG64(37))
+        oracle = GameOracle(game, random_sigma(rng, n), game.sample_secret(rng), 4)
+        for ask in (lambda: oracle.inner(1, flag), lambda: oracle.answer_plan([2, (1, flag)], ())):
+            with pytest.raises(ValidationError, match="inverse flag must be a bool"):
+                ask()
+            assert oracle.remaining == 4
+            assert oracle.inner_log == oracle.outer_log == []
+
+    @pytest.mark.parametrize("kind,n", [("EM_KR", 8), ("DLOG", 7)])
+    def test_numpy_bool_flags_read_as_bools(self, kind, n):
+        game = build_game(kind, n)
+        rng = np.random.Generator(np.random.PCG64(38))
+        sigma = random_sigma(rng, n)
+        secret = game.sample_secret(rng)
+        flags = (False, True) if game.allow_inverse_inner else (False,)
+        for flag in flags:
+            want = GameOracle(game, sigma, secret, None).inner(3, flag)
+            oracle = GameOracle(game, sigma, secret, None)
+            assert oracle.inner(3, np.bool_(flag)) == want
+            assert oracle.answer_plan([(3, np.bool_(flag))], ()) == ((want,), ())
+        if not game.allow_inverse_inner:
+            with pytest.raises(ContractViolation, match="inverse"):
+                GameOracle(game, sigma, secret, None).answer_plan([(3, np.True_)], ())
+
     @pytest.mark.parametrize("t", [0, 1, 4])
     def test_exactly_t_queries_pass(self, t):
         game = build_game("EM_KR", 8)

@@ -150,12 +150,12 @@ class TestCoverFamily:
 
     def test_out_of_range(self):
         for bad in ([3], [-1], [0, 3], [-1, 2]):
-            with pytest.raises(ValidationError, match="out of range"):
+            with pytest.raises(ValidationError, match=r"^CoverFamily: set element out of range\(n\)$"):
                 CoverFamily(3, (frozenset([1]), frozenset(bad)))
 
     @pytest.mark.parametrize("sets", [(frozenset(["a"]),), ([0, 1.5],), ([None],), (3,)])
     def test_non_integer_elements_are_validation_errors(self, sets):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^CoverFamily: sets must hold integer coordinates$"):
             CoverFamily(3, sets)
 
     def test_numpy_integer_elements_accepted(self):
@@ -301,6 +301,39 @@ class TestReadKConcentrationGap:
         with pytest.raises(ValidationError):
             ReadKFamily(3, (ReadKFunction(frozenset([0, 1]), values),))
 
+    @pytest.mark.parametrize("dependencies", [frozenset(["a"]), [0, 1.5], [None], 3, "01"], ids=repr)
+    def test_non_integer_dependencies_are_validation_errors(self, dependencies):
+        with pytest.raises(ValidationError, match="ReadKFunction: dependencies must be integer"):
+            ReadKFunction(dependencies, [0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, -5e-324, 1.0 + 2**-52, 2.0], ids=repr)
+    def test_values_outside_the_unit_interval_are_validation_errors(self, bad):
+        for values in ([bad], [0.5, bad, 0.25], [bad] + [0.0] * 9):
+            with pytest.raises(ValidationError, match=r"ReadKFunction: values must lie in \[0, 1\]"):
+                ReadKFunction(frozenset([0]), values)
+
+    def test_unit_interval_ends_and_empty_values_pass(self):
+        assert ReadKFunction(frozenset([0]), [0.0, 1.0, -0.0]).values.tolist() == [0.0, 1.0, -0.0]
+        assert ReadKFunction(frozenset(), []).values.size == 0
+
+    def test_dependencies_are_python_int_coordinates(self):
+        f = ReadKFunction(np.array([2, 0]), [0.5] * 6)
+        assert f.dependencies == frozenset([0, 2])
+        assert all(type(i) is int for i in f.dependencies)
+        assert ReadKFamily(3, (f, ReadKFunction([True], [0.5] * 3))).k == 1
+
+    @pytest.mark.parametrize("bad", [[3], [-1], [0, 3], [-1, 2]], ids=repr)
+    def test_family_rejects_a_dependency_out_of_range(self, bad):
+        f = ReadKFunction(frozenset(bad), [0.5] * math.perm(3, len(bad)))
+        with pytest.raises(ValidationError, match=r"ReadKFamily: dependency out of range\(n\)"):
+            ReadKFamily(3, (ReadKFunction(frozenset([1]), [0.5] * 3), f))
+
+    def test_family_k_is_the_dependency_multiplicity(self):
+        deps = ([0, 1], [], [1, 2], [1], [])
+        fam = ReadKFamily(3, tuple(ReadKFunction(d, [0.5] * math.perm(3, len(d))) for d in deps))
+        assert fam.k == 3 == CoverFamily(3, deps).k
+        assert ReadKFamily(3, (ReadKFunction([], [0.5]),)).k == 0
+
 
 class TestIndicatorShearerGap:
     def test_uniform_is_zero(self):
@@ -393,6 +426,74 @@ def _reference_random_cover(rng, n, max_sets):
     """random_cover's sets drawn one row at a time."""
     m = int(rng.integers(1, max_sets + 1))
     return tuple(frozenset(int(i) for i in np.nonzero(rng.random(n) < 0.5)[0]) for _ in range(m))
+
+
+def _reference_random_read_k_family(rng, n):
+    """random_read_k_family's dependencies drawn through np.nonzero."""
+    functions = []
+    for _ in range(int(rng.integers(1, 5))):
+        dep = frozenset(int(i) for i in np.nonzero(rng.random(n) < 0.5)[0])
+        functions.append((dep, rng.random(math.perm(n, len(dep)))))
+    return functions
+
+
+def _reference_read_k_gap(p, fam):
+    """The read-k gap with k from a cover of the dependencies, sorted(dependencies) and values.mean()."""
+    k = CoverFamily(fam.n, tuple(f.dependencies for f in fam.functions)).k
+    m = len(fam.functions)
+    p_sum = q_sum = 0.0
+    for f in fam.functions:
+        coords = tuple(sorted(f.dependencies))
+        if coords:
+            inverse, count = _projection(p.n, coords)
+            p_sum += float(np.bincount(inverse, weights=p.mass, minlength=count) @ f.values)
+            q_sum += float(f.values.mean())
+        else:
+            v = float(f.values[0])
+            p_sum += v
+            q_sum += v
+    p_bar = min(1.0, max(0.0, p_sum / m))
+    q_bar = min(1.0, max(0.0, q_sum / m))
+    return 2.0 * k * _reference_kl_vs_uniform(p.mass, p.mass.size) - m * kl_bernoulli(p_bar, q_bar)
+
+
+def _reference_product_gap(p, cover):
+    """The product gap with each marginal summed by axis name, axes kept in joint order."""
+    n = len(p.axes)
+    size = len(p.supports[0])
+    total = 0.0
+    for s in cover.sets:
+        if not s:
+            continue
+        names = [p.axes[i] for i in s]
+        keep = sorted(p.axes.index(name) for name in names)
+        drop = tuple(i for i in range(n) if i not in keep)
+        marg = p.table.sum(axis=drop) if drop else p.table
+        total += _reference_kl_vs_uniform(marg.reshape(-1), size ** len(keep))
+    return cover.k * _reference_kl_vs_uniform(p.table.reshape(-1), size**n) - total
+
+
+def _reference_indicator_gap(p, cover):
+    """The indicator gap on numpy scalars: a probs array read entry by entry."""
+    n = cover.n
+    probs = np.empty(n)
+    for lbl, mass in zip(p.support, p.mass):
+        probs[lbl.index(1)] = mass
+
+    def kl_term(q):
+        return q * math.log(q * n) if q > 0 else 0.0
+
+    kl_full = sum(kl_term(probs[i]) for i in range(n))
+    total = 0.0
+    for s in cover.sets:
+        if not s:
+            continue
+        rest = 1.0 - sum(probs[i] for i in s)
+        term = sum(kl_term(probs[i]) for i in s)
+        if rest > 1e-12:
+            term += rest * math.log(rest * n / (n - len(s)))
+        total += term
+    return 9.0 * cover.k * kl_full - total
 
 
 def _reference_extremal_ratio_search(n, cover, trials, seed):
@@ -522,6 +623,10 @@ class TestFusedMarginalKl:
     def _assert_search_equals_reference(n, trials, seeds):
         rng = np.random.Generator(np.random.PCG64(200 + n))
         covers = [singleton_cover(n), random_cover(rng, n), random_cover(rng, n), CoverFamily(n, ())]
+        if n == 4:  # nine sets: a climbed restart wins where a pairwise set sum would differ
+            covers.append(CoverFamily(4, (
+                {0, 1, 2}, {0, 1, 2, 3}, {1, 2}, {0}, {0, 1, 2, 3}, {0, 1, 2, 3}, {1, 3}, {0, 2, 3}, {0, 1},
+            )))
         if n == 5:  # the point mass wins on the covers above; a climbed restart wins on this one
             covers.append(CoverFamily(5, ({2}, {0, 1, 2, 4})))
         for seed, cover in itertools.product(seeds, covers):
@@ -540,6 +645,80 @@ class TestFusedMarginalKl:
     @pytest.mark.parametrize("n", [2, 3])
     def test_search_over_two_blocks_equals_every_point_mass_search(self, n):
         self._assert_search_equals_reference(n, SEARCH_BLOCK + 1, range(1))
+
+
+class TestGapsEqualTheirReferences:
+    """Each gap against the per-call code it replaced, with ==, over 200 draws per n."""
+
+    DRAWS = 200
+
+    @staticmethod
+    def _mass(rng, size, kind):
+        if kind == 0:
+            return rng.dirichlet(np.ones(size))
+        if kind == 1:
+            point = np.zeros(size)
+            point[int(rng.integers(size))] = 1.0
+            return point
+        sparse = rng.dirichlet(np.ones(size)) * (rng.random(size) < 0.4)
+        sparse[int(rng.integers(size))] += 0.5
+        return sparse / sparse.sum()
+
+    @staticmethod
+    def _family(rng, n, draw):
+        if draw % 2 == 0:
+            return random_read_k_family(rng, n)
+        # values at the ends of [0, 1], and an empty dependency set at a random place
+        functions = []
+        for _ in range(int(rng.integers(0, 4))):
+            dep = frozenset(np.nonzero(rng.random(n) < 0.5)[0].tolist())
+            size = math.perm(n, len(dep))
+            values = np.where(rng.random(size) < 0.3, rng.integers(0, 2, size), rng.random(size))
+            functions.append(ReadKFunction(dep, values))
+        functions.insert(int(rng.integers(len(functions) + 1)), ReadKFunction(frozenset(), [float(rng.integers(2))]))
+        return ReadKFamily(n, tuple(functions))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_read_k_gap(self, n):
+        rng = np.random.Generator(np.random.PCG64(500 + n))
+        for draw in range(self.DRAWS):
+            p = BijectionDistribution(n, self._mass(rng, math.factorial(n), draw % 3))
+            fam = self._family(rng, n, draw)
+            assert fam.k == CoverFamily(n, tuple(f.dependencies for f in fam.functions)).k
+            assert read_k_concentration_gap(p, fam) == _reference_read_k_gap(p, fam)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_random_read_k_family_draws_the_nonzero_dependencies(self, n):
+        rng = np.random.Generator(np.random.PCG64(600 + n))
+        ref = np.random.Generator(np.random.PCG64(600 + n))
+        for _ in range(50):
+            fam = random_read_k_family(rng, n)
+            want = _reference_random_read_k_family(ref, n)
+            assert [(f.dependencies, f.values.tobytes()) for f in fam.functions] == [
+                (dep, values.tobytes()) for dep, values in want
+            ]
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_product_gap(self, n):
+        rng = np.random.Generator(np.random.PCG64(700 + n))
+        for draw in range(self.DRAWS):
+            size = 3 if n <= 4 and draw % 4 == 3 else 2
+            table = self._mass(rng, size**n, draw % 3).reshape((size,) * n)
+            axes = tuple(f"x{i}" for i in rng.permutation(n))
+            joint = JointDistribution(axes, (tuple(range(size)),) * n, table)
+            cover = random_cover(rng, n, max_sets=8)
+            assert product_shearer_gap(joint, cover) == _reference_product_gap(joint, cover)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_indicator_gap(self, n):
+        rng = np.random.Generator(np.random.PCG64(800 + n))
+        for draw in range(self.DRAWS):
+            order = rng.permutation(n)
+            mass = self._mass(rng, n, draw % 3)
+            p = FiniteDistribution(tuple(indicator_support(n)[i] for i in order), mass)
+            cover = random_cover(rng, n, max_sets=8)
+            assert indicator_shearer_gap(p, cover) == _reference_indicator_gap(p, cover)
 
 
 class TestBruteForceCrossChecks:
